@@ -11,19 +11,14 @@ from .estimators import (
     DimensionError,
     EnumerationLimitError,
     LogEstimate,
-    ParticleSet,
     PotentialMatrix,
     PotentialValueError,
     SelectionTrace,
-    average_permuted_simple,
     estimate_biased,
     estimate_perm_exact,
     estimate_recycle,
     estimate_simple,
-    estimate_simple_permuted,
-    eval_potential_matrix,
     recycle_log_estimates_batch,
-    sample_next_index,
 )
 from .fixtures import FIXTURES, get_fixture
 from .mcmc import (
@@ -46,7 +41,6 @@ from .models import (
     PriorSpec,
     TwoStateLatentModel,
     log_likelihood_estimator,
-    model_as_potential_problem,
 )
 from .oracle import (
     DiscreteLVM,

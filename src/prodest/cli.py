@@ -13,8 +13,8 @@ Four subcommands share one plumbing layer:
 
 Configuration comes from a ``key = value`` file (``#`` starts a comment);
 the ``--seed``, ``--out``, ``--replicates`` and ``--estimator`` flags
-override the corresponding keys.  Observation files hold one value per
-line.  Every output file starts with a header line naming the tool
+override the corresponding keys.  Observation files hold one finite value
+per line.  Every output file starts with a header line naming the tool
 version and master seed, floats are written with 17 significant digits,
 and a failed run removes whatever partial outputs it created.  Exit code
 2 flags configuration or validation problems.
@@ -181,9 +181,12 @@ def load_observations(path: Path) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}:{lineno}: observation must be finite, got {line!r}")
+        values.append(value)
     if not values:
         raise ConfigError(f"{path}: no observations found")
     return np.array(values)
@@ -290,6 +293,8 @@ def _build_problem(settings: Settings, seed: int):
         raise ConfigError(
             f"model {model_name!r} needs {model.theta_dim} theta components, got {theta.size}"
         )
+    if not np.isfinite(theta).all():
+        raise ConfigError(f"theta must be finite, got {settings.get_str('theta')!r}")
     data_path = settings.get_str("data")
     if data_path is not None:
         data = load_observations(settings.resolve_path(data_path))

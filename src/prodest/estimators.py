@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +42,13 @@ __all__ = [
     "DimensionError",
     "EnumerationLimitError",
     "PotentialValueError",
-    "ParticleSet",
     "PotentialMatrix",
     "LogEstimate",
     "SelectionTrace",
-    "eval_potential_matrix",
     "estimate_simple",
     "estimate_biased",
     "estimate_recycle",
     "estimate_perm_exact",
-    "estimate_simple_permuted",
-    "average_permuted_simple",
-    "sample_next_index",
     "recycle_log_estimates_batch",
 ]
 
@@ -71,39 +65,17 @@ class EnumerationLimitError(RuntimeError):
 
 
 class PotentialValueError(ValueError):
-    """A potential evaluation produced NaN or a malformed array."""
+    """Log potential values contain NaN or +inf."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class ParticleSet:
-    """Latent draws shared by all factors, with seed provenance.
-
-    ``points`` is one particle per row; latent values may be scalars or
-    vectors, so the array is (n_particles,) or (n_particles, dim).
-    ``seed`` records the master seed of the stream that produced the
-    draws when the caller knows it.
-    """
-
-    points: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points)
-        if pts.ndim not in (1, 2) or pts.shape[0] < 1:
-            raise DimensionError(f"points must be a non-empty 1-d or 2-d array, got shape {pts.shape}")
-        pts = np.array(pts, copy=True)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n_particles(self) -> int:
-        return self.points.shape[0]
+def check_particle_count(
+    n_particles: int, n_factors: int, count_name: str = "n_factors"
+) -> None:
+    """Raise unless there are enough particles to give every factor its own."""
+    if n_particles < n_factors:
+        raise DimensionError(
+            f"need n_particles >= {count_name}, got {n_particles} < {n_factors}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,28 +83,29 @@ class PotentialMatrix:
     """(n_factors, n_particles) matrix of log potential values.
 
     Entries live in [-inf, inf): ``-inf`` encodes a vanishing potential,
-    NaN and +inf are rejected.  Requires n_particles >= n_factors so that
-    selection without replacement is possible.
+    NaN and +inf are rejected with the (factor, particle) position of the
+    first offending entry.  Requires n_particles >= n_factors so that
+    selection without replacement is possible.  Holds a read-only copy.
     """
 
     log_values: np.ndarray
 
     def __post_init__(self):
-        lv = np.asarray(self.log_values, dtype=float)
+        lv = np.array(self.log_values, dtype=float)
         if lv.ndim != 2:
             raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
         n_factors, n_particles = lv.shape
         if n_factors < 1:
             raise DimensionError("need at least one factor")
-        if n_particles < n_factors:
-            raise DimensionError(
-                f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
+        check_particle_count(n_particles, n_factors)
+        if not (lv < np.inf).all():
+            # NaN compares false too, so one pass rejects NaN and +inf.
+            factor, particle = np.argwhere(~(lv < np.inf))[0]
+            raise PotentialValueError(
+                f"log potential {lv[factor, particle]} at factor {factor}, particle {particle}"
             )
-        if np.isnan(lv).any():
-            raise PotentialValueError("log potential values contain NaN")
-        if np.isposinf(lv).any():
-            raise PotentialValueError("log potential values contain +inf")
-        object.__setattr__(self, "log_values", _readonly(lv))
+        lv.flags.writeable = False
+        object.__setattr__(self, "log_values", lv)
 
     @property
     def n_factors(self) -> int:
@@ -177,35 +150,6 @@ class SelectionTrace:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-def eval_potential_matrix(
-    potentials: Sequence[Callable[[np.ndarray], np.ndarray]],
-    particles: ParticleSet,
-) -> PotentialMatrix:
-    """Evaluate vectorized log potentials on every particle.
-
-    Each callable receives the full ``particles.points`` array and must
-    return one log value per particle.  A NaN anywhere is reported with
-    the (factor, particle) coordinates that produced it.
-    """
-    n_particles = particles.n_particles
-    rows = []
-    for p, potential in enumerate(potentials):
-        row = np.asarray(potential(particles.points), dtype=float)
-        if row.shape != (n_particles,):
-            raise PotentialValueError(
-                f"potential {p} returned shape {row.shape}, expected ({n_particles},)"
-            )
-        bad = np.flatnonzero(np.isnan(row))
-        if bad.size:
-            raise PotentialValueError(
-                f"potential {p} returned NaN at particle {int(bad[0])}"
-            )
-        rows.append(row)
-    if not rows:
-        raise DimensionError("need at least one potential")
-    return PotentialMatrix(np.stack(rows))
 
 
 def estimate_simple(matrix: PotentialMatrix, block_size: int) -> LogEstimate:
@@ -253,55 +197,6 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
     return LogEstimate(total)
 
 
-def _draw_available_index(
-    log_row: np.ndarray, available: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Draw one available column with probability proportional to exp(log_row).
-
-    Falls back to a uniform draw over the available columns when every
-    available potential is zero.  Consumes exactly one uniform variate in
-    either branch.
-    """
-    candidates = np.flatnonzero(available)
-    if candidates.size == 0:
-        raise DimensionError("no available columns to select from")
-    vals = log_row[candidates]
-    shift = vals.max()
-    u = rng.random()
-    if shift == -np.inf:
-        return int(candidates[min(int(u * candidates.size), candidates.size - 1)])
-    weights = np.exp(vals - shift)
-    cumulative = np.cumsum(weights)
-    j = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
-    return int(candidates[min(j, candidates.size - 1)])
-
-
-def sample_next_index(
-    log_potentials_row: np.ndarray,
-    excluded: Iterable[int],
-    rng: np.random.Generator,
-) -> int:
-    """One selection step: draw a column outside ``excluded``.
-
-    The draw is proportional to the potential over the remaining columns,
-    and uniform over them when all remaining potentials vanish.
-    """
-    log_row = np.asarray(log_potentials_row, dtype=float)
-    if log_row.ndim != 1:
-        raise DimensionError(f"expected a 1-d row, got shape {log_row.shape}")
-    if np.isnan(log_row).any():
-        raise PotentialValueError("log potential row contains NaN")
-    available = np.ones(log_row.size, dtype=bool)
-    for i in excluded:
-        i = int(i)
-        if not 0 <= i < log_row.size:
-            raise DimensionError(f"excluded index {i} out of range [0, {log_row.size})")
-        available[i] = False
-    if not available.any():
-        raise DimensionError("every column is excluded")
-    return _draw_available_index(log_row, available, rng)
-
-
 def estimate_recycle(
     matrix: PotentialMatrix, rng: np.random.Generator
 ) -> tuple[LogEstimate, SelectionTrace]:
@@ -325,10 +220,21 @@ def estimate_recycle(
     log_total = 0.0
     picks: list[int] = []
     for p in range(n_factors):
-        row = lv[p]
-        log_avg = masked_log_sum_exp(row, available) - math.log(n_particles - p)
-        log_total += log_avg
-        k = _draw_available_index(row, available, rng)
+        candidates = np.flatnonzero(available)
+        vals = lv[p, candidates]
+        shift = vals.max()
+        u = rng.random()
+        if shift == -np.inf:
+            log_total = -np.inf
+            j = int(u * candidates.size)
+        else:
+            weights = np.exp(vals - shift)
+            # The pairwise weights.sum() can differ from the sequential
+            # cumulative[-1] in the last bits; the log estimate uses the former.
+            log_total += shift + np.log(weights.sum()) - math.log(n_particles - p)
+            cumulative = np.cumsum(weights)
+            j = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
+        k = int(candidates[min(j, candidates.size - 1)])
         picks.append(k)
         available[k] = False
     return LogEstimate(log_total), SelectionTrace(tuple(picks))
@@ -350,10 +256,7 @@ def recycle_log_estimates_batch(
     if np.isnan(lt).any():
         raise PotentialValueError("log potential tensor contains NaN")
     n_replicates, n_factors, n_particles = lt.shape
-    if n_particles < n_factors:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
-        )
+    check_particle_count(n_particles, n_factors)
     available = np.ones((n_replicates, n_particles), dtype=bool)
     log_total = np.zeros(n_replicates)
     row_ids = np.arange(n_replicates)
@@ -375,7 +278,10 @@ def recycle_log_estimates_batch(
 
         u = rng.random(n_replicates)
         cumulative = np.cumsum(weights, axis=1)
-        picked = (cumulative <= (u * mass)[:, None]).sum(axis=1)
+        # Scale by the sequential total, not the pairwise ``mass``: the two
+        # can differ in the last bits, and a target above cumulative[:, -1]
+        # would pick column n_particles or a retired column.
+        picked = (cumulative <= (u * cumulative[:, -1])[:, None]).sum(axis=1)
         # Zero-mass rows: uniform over the n_particles - p available columns.
         rank = np.cumsum(available, axis=1)
         uniform_pick = (rank <= (u * (n_particles - p)).astype(np.int64)[:, None]).sum(axis=1)
@@ -412,50 +318,3 @@ def estimate_perm_exact(
         idx = np.asarray(chunk, dtype=np.intp)
         accumulator.add(lv[rows, idx].sum(axis=1))
     return LogEstimate(accumulator.log_total - math.log(n_terms))
-
-
-def estimate_simple_permuted(
-    matrix: PotentialMatrix, permutation: Sequence[int], block_size: int
-) -> LogEstimate:
-    """Block estimator after relabelling the columns by ``permutation``.
-
-    Column j of the permuted problem is column permutation[j] of the
-    original matrix; the block estimator then runs unchanged.
-    """
-    perm = np.asarray(permutation, dtype=np.intp)
-    n_particles = matrix.n_particles
-    if perm.shape != (n_particles,) or not np.array_equal(
-        np.sort(perm), np.arange(n_particles)
-    ):
-        raise DimensionError(
-            f"permutation must rearrange range({n_particles}), got {permutation!r}"
-        )
-    return estimate_simple(PotentialMatrix(matrix.log_values[:, perm]), block_size)
-
-
-def average_permuted_simple(
-    matrix: PotentialMatrix,
-    n_permutations: int,
-    rng: np.random.Generator,
-    block_size: int | None = None,
-) -> LogEstimate:
-    """Average the block estimator over uniformly random column relabellings.
-
-    With ``n_permutations`` of them this Rao-Blackwellises towards the
-    exact ordered-selection average, which is the limit over all
-    n_particles! relabellings.
-    """
-    n_permutations = int(n_permutations)
-    if n_permutations < 1:
-        raise DimensionError(f"need at least one permutation, got {n_permutations}")
-    if block_size is None:
-        if matrix.n_particles % matrix.n_factors:
-            raise DimensionError(
-                "block_size not given and n_particles is not a multiple of n_factors"
-            )
-        block_size = matrix.n_particles // matrix.n_factors
-    accumulator = RunningLogSum()
-    for _ in range(n_permutations):
-        perm = rng.permutation(matrix.n_particles)
-        accumulator.add(estimate_simple_permuted(matrix, perm, block_size).log_value)
-    return LogEstimate(accumulator.log_total - math.log(n_permutations))

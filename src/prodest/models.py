@@ -8,7 +8,10 @@ and the MCMC driver:
 
 * ``theta_dim``, ``param_names``
 * ``sample_latent(theta, rng, size)``, one latent draw per particle
-* ``log_potentials(data)``, one vectorized log potential per observation
+* ``log_potentials(data)``, which checks and binds the observations once
+  and returns a function mapping n_particles latents to the
+  (n_obs, n_particles) log potential matrix in one broadcast, one row per
+  observation
 * ``simulate(theta, n_obs, rng)``, synthetic observations
 * ``default_prior()``
 
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .estimators import (
     DimensionError,
-    ParticleSet,
-    eval_potential_matrix,
+    PotentialMatrix,
+    check_particle_count,
     estimate_biased,
     estimate_perm_exact,
     estimate_recycle,
@@ -52,7 +55,6 @@ __all__ = [
     "GandKModel",
     "PoissonBetaModel",
     "TwoStateLatentModel",
-    "model_as_potential_problem",
     "log_likelihood_estimator",
     "ESTIMATOR_KINDS",
 ]
@@ -257,12 +259,10 @@ class GandKModel:
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return gandk_quantile_transform(rng.standard_normal(size), self.params(theta))
 
-    def log_potentials(self, data) -> list:
+    def log_potentials(self, data) -> Callable:
+        centers = _observation_column(data, float)
         half_width = self.half_width
-        return [
-            lambda x, center=float(y): interval_log_potential(x, center, half_width)
-            for y in np.asarray(data, dtype=float)
-        ]
+        return lambda x: interval_log_potential(np.asarray(x)[None, :], centers, half_width)
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         return gandk_simulate_data(
@@ -293,12 +293,10 @@ class PoissonBetaModel:
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return sample_poisson_beta(self.params(theta), rng, size=size)
 
-    def log_potentials(self, data) -> list:
+    def log_potentials(self, data) -> Callable:
+        centers = _observation_column(data, float)
         sigma = self.sigma
-        return [
-            lambda x, center=float(y): normal_log_potential(x, center, sigma)
-            for y in np.asarray(data, dtype=float)
-        ]
+        return lambda x: normal_log_potential(np.asarray(x)[None, :], centers, sigma)
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         counts = self.sample_latent(theta, rng, size=int(n_obs))
@@ -343,13 +341,11 @@ class TwoStateLatentModel:
         weight = self._weight(theta)
         return (rng.random(size) < weight).astype(np.intp)
 
-    def log_potentials(self, data) -> list:
+    def log_potentials(self, data) -> Callable:
+        symbols = _observation_column(data, np.intp)
         with np.errstate(divide="ignore"):
             log_kernel = np.log(self.kernel)
-        return [
-            lambda x, col=int(y): log_kernel[np.asarray(x, dtype=np.intp), col]
-            for y in np.asarray(data)
-        ]
+        return lambda x: log_kernel[np.asarray(x, dtype=np.intp)[None, :], symbols]
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         states = self.sample_latent(theta, rng, size=int(n_obs))
@@ -368,22 +364,12 @@ class TwoStateLatentModel:
         return PriorSpec((UniformPrior(0.0, 1.0),))
 
 
-def model_as_potential_problem(model, theta, data):
-    """Bind a model and parameter value into estimator-ready pieces.
-
-    Returns ``(draw_latents, potentials)`` where ``draw_latents(n, rng)``
-    yields n particles from the latent law at theta and ``potentials`` is
-    one vectorized log potential per observation.  An empty data vector
-    yields an empty potential list: the corresponding product of
-    expectations is 1 by convention.
-    """
-    data = np.asarray(data)
-    potentials = model.log_potentials(data) if data.size else []
-
-    def draw_latents(n_particles: int, rng: np.random.Generator):
-        return model.sample_latent(theta, rng, size=int(n_particles))
-
-    return draw_latents, potentials
+def _observation_column(data, dtype) -> np.ndarray:
+    """Observations as an (n_obs, 1) column, ready to broadcast against particles."""
+    data = np.asarray(data, dtype=dtype)
+    if data.ndim != 1:
+        raise DimensionError(f"observations must be a 1-d vector, got shape {data.shape}")
+    return data[:, None]
 
 
 ESTIMATOR_KINDS = ("simple", "recycle", "perm", "biased")
@@ -395,31 +381,28 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     Returns ``estimate(theta, rng) -> float`` drawing ``n_particles``
     fresh latents and applying the requested estimator; ``-inf`` encodes
     an estimate of exactly zero.  The simple kind requires n_particles to
-    be a multiple of the number of observations.
+    be a multiple of the number of observations.  With no observations the
+    estimate is always 0.0: an empty product of expectations is 1.
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
     data = np.asarray(data)
     n_obs = int(data.size)
     n_particles = int(n_particles)
-    if n_obs:
-        if n_particles < n_obs:
-            raise DimensionError(
-                f"need n_particles >= n_obs, got {n_particles} < {n_obs}"
-            )
-        if kind == "simple" and n_particles % n_obs:
-            raise DimensionError(
-                f"simple estimator needs n_particles divisible by n_obs, "
-                f"got {n_particles} and {n_obs}"
-            )
-    block_size = n_particles // n_obs if n_obs else 0
+    if n_obs == 0:
+        return lambda theta, rng: 0.0
+    check_particle_count(n_particles, n_obs, "n_obs")
+    if kind == "simple" and n_particles % n_obs:
+        raise DimensionError(
+            f"simple estimator needs n_particles divisible by n_obs, "
+            f"got {n_particles} and {n_obs}"
+        )
+    block_size = n_particles // n_obs
+    log_potential_matrix = model.log_potentials(data)
 
     def estimate(theta, rng: np.random.Generator) -> float:
-        if n_obs == 0:
-            return 0.0
-        draw_latents, potentials = model_as_potential_problem(model, theta, data)
-        particles = ParticleSet(draw_latents(n_particles, rng), seed=None)
-        matrix = eval_potential_matrix(potentials, particles)
+        latents = model.sample_latent(theta, rng, size=n_particles)
+        matrix = PotentialMatrix(log_potential_matrix(latents))
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
         if kind == "simple":

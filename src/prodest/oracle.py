@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimators import DimensionError, EnumerationLimitError
+from .estimators import DimensionError, EnumerationLimitError, check_particle_count
 
 __all__ = [
     "DiscreteMeasure",
@@ -251,10 +251,7 @@ def moment_product(
     normalized = _normalized(measure, potentials)
     n_factors = potentials.n_factors
     n_particles = int(n_particles)
-    if n_particles < n_factors:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
-        )
+    check_particle_count(n_particles, n_factors)
     assignment = np.asarray(assignment, dtype=int)
     if assignment.shape != (n_factors,):
         raise DimensionError(
@@ -310,10 +307,7 @@ def second_moment_perm_exact(
     normalized = _normalized(measure, potentials)
     n_factors = potentials.n_factors
     n_particles = int(n_particles)
-    if n_particles < n_factors:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
-        )
+    check_particle_count(n_particles, n_factors)
     n_terms = math.perm(n_particles, n_factors)
     if n_terms > max_terms:
         raise EnumerationLimitError(
@@ -342,10 +336,7 @@ def second_moment_recycle_exact(
     normalized = _normalized(measure, potentials)
     n_factors = potentials.n_factors
     n_particles = int(n_particles)
-    if n_particles < n_factors:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
-        )
+    check_particle_count(n_particles, n_factors)
     ranges = [range(p, n_particles) for p in range(n_factors)]
     n_terms = math.prod(len(r) for r in ranges)
     if n_terms > max_terms:
@@ -372,10 +363,7 @@ def independent_second_moment(factor_relvars: Sequence[float], n_particles: int)
     n_particles = int(n_particles)
     if relvars.ndim != 1 or relvars.size < 1:
         raise DimensionError("factor_relvars must be a non-empty vector")
-    if n_particles < relvars.size:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {relvars.size}"
-        )
+    check_particle_count(n_particles, relvars.size)
     denominators = n_particles - np.arange(relvars.size)
     return float(np.prod(1.0 + relvars / denominators))
 
@@ -453,10 +441,7 @@ def recycle_conditional_moments(values: np.ndarray) -> tuple[float, float]:
     if (values < 0).any() or np.isnan(values).any() or np.isinf(values).any():
         raise ValueError("potential values must be finite and non-negative")
     n_factors, n_particles = values.shape
-    if n_particles < n_factors:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
-        )
+    check_particle_count(n_particles, n_factors)
     mean, second = _recycle_moments_given_values(values[:, None, :])
     return float(mean[0]), float(second[0])
 
@@ -502,10 +487,7 @@ def estimator_distribution_exact(
     probs, values = _check_pair(measure, potentials)
     n_factors = potentials.n_factors
     n_particles = int(n_particles)
-    if n_particles < n_factors:
-        raise DimensionError(
-            f"need n_particles >= n_factors, got {n_particles} < {n_factors}"
-        )
+    check_particle_count(n_particles, n_factors)
     n_points = measure.n_points
     n_assignments = n_points**n_particles
     if kind in ("perm", "recycle"):
@@ -634,10 +616,7 @@ def latent_expected_second_moment(
     n_obs, n_particles = int(n_obs), int(n_particles)
     if n_obs < 1:
         raise DimensionError("need at least one observation")
-    if n_particles < n_obs:
-        raise DimensionError(
-            f"need n_particles >= n_obs, got {n_particles} < {n_obs}"
-        )
+    check_particle_count(n_particles, n_obs, "n_obs")
     n_vectors = lvm.n_observations**n_obs
     lattice = math.prod(range(n_particles - n_obs + 1, n_particles + 1))
     if n_vectors * lattice > max_terms:

@@ -316,6 +316,28 @@ def test_estimate_indivisible_simple_blocks_exit_2(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("where", ["data", "theta"])
+@pytest.mark.parametrize("model", ["gandk", "poisson-beta"])
+def test_estimate_non_finite_input_exits_2(tmp_path, capsys, model, where, bad):
+    observations = ["1.5", "2.5", "3.5"]
+    theta = {"gandk": ["3", "1", "2", "0.5"], "poisson-beta": ["500", "2", "8"]}[model]
+    if where == "data":
+        observations[1] = bad
+    else:
+        theta[0] = bad
+    (tmp_path / "obs.dat").write_text("\n".join(observations) + "\n")
+    config = write_config(
+        tmp_path,
+        f"model = {model}\ntheta = {', '.join(theta)}\ndata = obs.dat\nn_particles = 6\n",
+    )
+    out = tmp_path / "results"
+    assert run(["estimate", "--config", config, "--out", out,
+                "--replicates", 4]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run(["estimate", "--config", tmp_path / "nope.cfg",
                 "--out", tmp_path / "x"]) == 2

@@ -10,19 +10,14 @@ from prodest.estimators import (
     DimensionError,
     EnumerationLimitError,
     LogEstimate,
-    ParticleSet,
     PotentialMatrix,
     PotentialValueError,
     SelectionTrace,
-    average_permuted_simple,
     estimate_biased,
     estimate_perm_exact,
     estimate_recycle,
     estimate_simple,
-    estimate_simple_permuted,
-    eval_potential_matrix,
     recycle_log_estimates_batch,
-    sample_next_index,
 )
 from prodest.fixtures import (
     get_fixture,
@@ -50,21 +45,6 @@ CROSS = PotentialMatrix(np.array([[0.0, NEG_INF], [NEG_INF, 0.0]]))
 # ---------------------------------------------------------------- containers
 
 
-def test_particle_set_shapes():
-    flat = ParticleSet(np.arange(4.0))
-    assert flat.n_particles == 4
-    stacked = ParticleSet(np.zeros((5, 2)), seed=3)
-    assert stacked.n_particles == 5
-    with pytest.raises(DimensionError):
-        ParticleSet(np.zeros((2, 2, 2)))
-
-
-def test_particle_set_read_only():
-    points = ParticleSet(np.arange(3.0)).points
-    with pytest.raises(ValueError):
-        points[0] = 9.0
-
-
 def test_potential_matrix_validation():
     with pytest.raises(DimensionError):
         PotentialMatrix(np.zeros(3))
@@ -76,6 +56,26 @@ def test_potential_matrix_validation():
         PotentialMatrix(np.array([[0.0, math.inf]]))
     matrix = PotentialMatrix(np.array([[0.0, NEG_INF]]))
     assert (matrix.n_factors, matrix.n_particles) == (1, 2)
+
+
+def test_potential_matrix_read_only_copy():
+    source = np.zeros((1, 3))
+    matrix = PotentialMatrix(source)
+    source[0, 0] = 9.0
+    assert matrix.log_values[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        matrix.log_values[0, 0] = 9.0
+
+
+def test_potential_matrix_reports_bad_entry_location():
+    values = np.zeros((3, 4))
+    values[1, 2] = math.nan
+    values[2, 0] = math.inf
+    with pytest.raises(PotentialValueError, match="nan at factor 1, particle 2"):
+        PotentialMatrix(values)
+    values[1, 2] = NEG_INF
+    with pytest.raises(PotentialValueError, match="inf at factor 2, particle 0"):
+        PotentialMatrix(values)
 
 
 def test_log_estimate_values():
@@ -93,33 +93,6 @@ def test_selection_trace_validation():
         SelectionTrace((1, 1))
     with pytest.raises(ValueError):
         SelectionTrace((-1,))
-
-
-# ---------------------------------------------------------------- evaluation
-
-
-def test_eval_potential_matrix_vectorized():
-    particles = ParticleSet(np.array([0.0, 1.0, 2.0]))
-    matrix = eval_potential_matrix(
-        [lambda x: np.log(x + 1.0), lambda x: np.where(x > 0.5, 0.0, NEG_INF)],
-        particles,
-    )
-    assert matrix.log_values[0] == pytest.approx(np.log([1.0, 2.0, 3.0]))
-    assert matrix.log_values[1, 0] == NEG_INF
-    assert (matrix.log_values[1, 1:] == 0.0).all()
-
-
-def test_eval_potential_matrix_reports_nan_location():
-    particles = ParticleSet(np.array([1.0, -1.0]))
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(PotentialValueError, match="potential 0.*particle 1"):
-            eval_potential_matrix([lambda x: np.log(x) * 0.0 + np.sqrt(x)], particles)
-
-
-def test_eval_potential_matrix_shape_mismatch():
-    particles = ParticleSet(np.array([0.0, 1.0]))
-    with pytest.raises(PotentialValueError, match="shape"):
-        eval_potential_matrix([lambda x: np.zeros(3)], particles)
 
 
 # ---------------------------------------------------------- block and biased
@@ -199,6 +172,18 @@ def test_recycle_deterministic_given_stream():
     assert tuple(first[1].indices) == tuple(second[1].indices)
 
 
+def test_recycle_golden_pin():
+    # Values of the original three-function selection step.  A kernel that
+    # keeps the same arithmetic reproduces them; one that does not must say
+    # which fixed-seed streams it moves.
+    rng = np.random.default_rng(2024)
+    values = rng.normal(scale=2.0, size=(5, 40))
+    values[rng.random((5, 40)) < 0.4] = NEG_INF
+    estimate, trace = estimate_recycle(PotentialMatrix(values), make_stream(7, 1))
+    assert estimate.log_value == pytest.approx(6.214616789614282, rel=1e-14)
+    assert tuple(trace.indices) == (31, 27, 26, 21, 4)
+
+
 def test_single_factor_estimators_agree():
     matrix = PotentialMatrix(_log([[0.5, 2.0, 0.0, 1.5]]))
     expected = math.log(np.mean([0.5, 2.0, 0.0, 1.5]))
@@ -209,45 +194,57 @@ def test_single_factor_estimators_agree():
     assert estimate.log_value == pytest.approx(expected)
 
 
-# --------------------------------------------------------- selection kernel
+# ------------------------------------------------------------ selection step
 
 
-def test_sample_next_index_weights():
-    row = _log([0.0, 0.0, 3.0, 1.0])
-    rng = make_stream(13)
-    draws = np.array([sample_next_index(row, set(), rng) for _ in range(4000)])
+def _picks(matrix, stream_seed, n_draws, factor):
+    """The column factor ``factor`` retires, over repeated recycled estimates."""
+    rng = make_stream(stream_seed)
+    return np.array(
+        [estimate_recycle(matrix, rng)[1].indices[factor] for _ in range(n_draws)]
+    )
+
+
+def test_recycle_selection_weights():
+    draws = _picks(PotentialMatrix(_log([[0.0, 0.0, 3.0, 1.0]])), 13, 4000, 0)
     assert set(draws) == {2, 3}
     counts = [(draws == 2).sum(), (draws == 3).sum()]
     result = stats.chisquare(counts, f_exp=[3000.0, 1000.0])
     assert result.pvalue > 1e-4
 
 
-def test_sample_next_index_uniform_fallback():
-    row = np.full(4, NEG_INF)
-    rng = make_stream(14)
-    draws = np.array([sample_next_index(row, {1}, rng) for _ in range(3000)])
+def test_recycle_uniform_fallback():
+    # Factor 0 can only retire column 1; factor 1 vanishes everywhere, so
+    # its pick is uniform over the three columns left.
+    matrix = PotentialMatrix(np.array([[NEG_INF, 0.0, NEG_INF, NEG_INF], [NEG_INF] * 4]))
+    draws = _picks(matrix, 14, 3000, 1)
     assert set(draws) == {0, 2, 3}
     counts = [(draws == i).sum() for i in (0, 2, 3)]
     assert stats.chisquare(counts).pvalue > 1e-4
 
 
-def test_sample_next_index_single_candidate():
-    row = np.array([NEG_INF, 0.0, NEG_INF])
-    rng = make_stream(15)
-    assert all(
-        sample_next_index(row, {0, 2}, rng) == 1 for _ in range(10)
+def test_recycle_single_remaining_candidate():
+    # The last factor puts its mass on retired columns 0 and 2 and vanishes
+    # on column 1, the only candidate left, which it must take.
+    matrix = PotentialMatrix(
+        np.array([[0.0, NEG_INF, NEG_INF], [NEG_INF, NEG_INF, 0.0], [5.0, NEG_INF, 5.0]])
     )
+    rng = make_stream(15)
+    for _ in range(10):
+        estimate, trace = estimate_recycle(matrix, rng)
+        assert tuple(trace.indices) == (0, 2, 1)
+        assert estimate.log_value == NEG_INF
 
 
-def test_sample_next_index_everything_excluded():
-    with pytest.raises(ValueError):
-        sample_next_index(np.zeros(2), {0, 1}, make_stream(16))
-
-
-def test_sample_next_index_skips_excluded_mass():
-    row = np.log(np.array([5.0, 1.0]))
+def test_recycle_never_redraws_retired_column():
+    # Column 0 carries almost all the mass of every row; once factor 0
+    # retires it, the later factors must pick among the other columns.
+    matrix = PotentialMatrix(np.tile(np.log([5e6, 1.0, 1.0, 1.0]), (3, 1)))
     rng = make_stream(17)
-    assert all(sample_next_index(row, {0}, rng) == 1 for _ in range(10))
+    for _ in range(20):
+        _, trace = estimate_recycle(matrix, rng)
+        assert trace.indices[0] == 0
+        assert len(set(trace.indices)) == 3
 
 
 # ---------------------------------------------------------------- averaging
@@ -283,27 +280,14 @@ def test_perm_equals_average_of_permuted_simple():
     # With unit blocks, averaging the ordered estimator over all column
     # permutations reproduces the exhaustive injection average.
     rng = np.random.default_rng(6)
-    matrix = PotentialMatrix(np.log(rng.random((3, 3)) + 0.01))
+    values = np.log(rng.random((3, 3)) + 0.01)
+    matrix = PotentialMatrix(values)
     logs = [
-        estimate_simple_permuted(matrix, perm, block_size=1).log_value
+        estimate_simple(PotentialMatrix(values[:, perm]), 1).log_value
         for perm in itertools.permutations(range(3))
     ]
     direct = math.log(np.mean(np.exp(logs)))
     assert estimate_perm_exact(matrix).log_value == pytest.approx(direct, rel=1e-12)
-
-
-def test_simple_permuted_validates_permutation():
-    with pytest.raises(ValueError):
-        estimate_simple_permuted(CROSS, (0, 0), block_size=1)
-    with pytest.raises(ValueError):
-        estimate_simple_permuted(CROSS, (0,), block_size=1)
-
-
-def test_average_permuted_simple_single_factor_exact():
-    # With one factor every permutation gives the full-row mean.
-    matrix = PotentialMatrix(np.log(np.array([[1.0, 2.0, 3.0]])))
-    estimate = average_permuted_simple(matrix, 5, make_stream(3))
-    assert estimate.log_value == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 # -------------------------------------------------------------- batch draws
@@ -317,6 +301,25 @@ def test_batch_recycle_deterministic():
     first = recycle_log_estimates_batch(tensor, make_stream(5))
     second = recycle_log_estimates_batch(tensor, make_stream(5))
     assert (first == second).all()
+
+
+class _TopUniform:
+    """Stands in for a generator whose every uniform is the largest below 1."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_batch_recycle_top_uniform_stays_in_range():
+    # The pairwise row total exceeds the running cumsum's last entry here;
+    # scaling the uniform by the former picked column 64, out of range.
+    row = np.array([0.0] + [-37.0] * 63)
+    logs = recycle_log_estimates_batch(row[None, None, :], _TopUniform())
+    assert logs[0] == pytest.approx(math.log((1.0 + 63 * math.exp(-37.0)) / 64))
+    # With a second factor the pick must also land on an available column.
+    tensor = np.array([[row, row]])
+    logs = recycle_log_estimates_batch(tensor, _TopUniform())
+    assert np.isfinite(logs).all()
 
 
 def test_batch_recycle_matches_exact_moments():

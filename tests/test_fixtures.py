@@ -57,9 +57,8 @@ def test_fixture_model_interface():
     assert (model.factor_indices == np.arange(2)).all()
     latents = model.sample_latent(np.zeros(0), make_stream(2), size=2000)
     assert latents.shape == (2000,)
-    rows = model.log_potentials(model.factor_indices)
-    values = np.exp([row(np.arange(measure.n_points)) for row in rows])
-    assert values == pytest.approx(potentials.values)
+    matrix = model.log_potentials(model.factor_indices)(np.arange(measure.n_points))
+    assert np.exp(matrix) == pytest.approx(potentials.values)
     # Latent draws follow the measure.
     counts = np.bincount(latents, minlength=measure.n_points)
     check = stats.chisquare(counts, f_exp=measure.probs * 2000)
@@ -70,9 +69,6 @@ def test_fixture_model_target_matches_oracle():
     measure, potentials = get_fixture("d1").build()
     model = DiscreteFixtureModel(measure, potentials)
     # Enumerate over the latent support instead of sampling.
-    rows = model.log_potentials(model.factor_indices)
-    support = np.arange(measure.n_points)
-    means = [
-        float(np.exp(row(support)) @ measure.probs) for row in rows
-    ]
+    matrix = model.log_potentials(model.factor_indices)(np.arange(measure.n_points))
+    means = np.exp(matrix) @ measure.probs
     assert np.prod(means) == pytest.approx(mean_product(measure, potentials))

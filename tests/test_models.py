@@ -19,10 +19,10 @@ from prodest.models import (
     interval_log_potential,
     log_likelihood_estimator,
     log_prior,
-    model_as_potential_problem,
     normal_log_potential,
     sample_poisson_beta,
 )
+from prodest.fixtures import DiscreteFixtureModel, get_fixture
 from prodest.oracle import (
     DiscreteLVM,
     estimator_distribution_exact,
@@ -115,9 +115,9 @@ def test_gandk_model_pieces():
     assert log_prior(np.array([3.0, -1.0, 2.0, 0.5]), prior) == -math.inf
     data = model.simulate(np.array([3.0, 1.0, 2.0, 0.5]), 5, make_stream(0))
     potentials = model.log_potentials(data)
-    assert len(potentials) == 5
-    # A latent draw equal to the observation sits inside every interval.
-    assert potentials[2](np.array([data[2]])) == 0.0
+    assert potentials(np.zeros(7)).shape == (5, 7)
+    # A latent draw equal to the observation sits inside its own interval.
+    assert potentials(np.array([data[2]]))[2, 0] == 0.0
 
 
 # -------------------------------------------------------------- Poisson-Beta
@@ -159,11 +159,9 @@ def test_poisson_beta_model_noise_and_potentials():
     potentials = model.log_potentials(data)
     # Gaussian form: exact at the center, quadratic decay in units of sigma.
     center = data[0]
-    assert potentials[0](np.array([center])) == pytest.approx(
-        normal_log_potential(center, center, 5.0)
-    )
-    off = potentials[0](np.array([center + 5.0]))
-    assert off - potentials[0](np.array([center])) == pytest.approx(-0.5)
+    at_center, off = potentials(np.array([center, center + 5.0]))[0]
+    assert at_center == pytest.approx(normal_log_potential(center, center, 5.0))
+    assert off - at_center == pytest.approx(-0.5)
 
 
 def test_normal_potential_values():
@@ -238,9 +236,9 @@ def test_two_state_matches_oracle_target():
 def test_two_state_potentials_follow_kernel_columns():
     model = TwoStateLatentModel()
     potentials = model.log_potentials(np.array([1, 0]))
-    states = np.array([0, 1])
-    assert potentials[0](states) == pytest.approx(np.log([0.25, 0.75]))
-    assert potentials[1](states) == pytest.approx(np.log([0.75, 0.25]))
+    matrix = potentials(np.array([0, 1]))
+    assert matrix[0] == pytest.approx(np.log([0.25, 0.75]))
+    assert matrix[1] == pytest.approx(np.log([0.75, 0.25]))
 
 
 def test_two_state_simulate_distribution():
@@ -260,10 +258,37 @@ def test_two_state_weight_validation():
 # -------------------------------------------------------- estimator plumbing
 
 
-def test_model_as_potential_problem_empty_data():
-    model = TwoStateLatentModel()
-    draw, potentials = model_as_potential_problem(model, np.array([0.5]), np.array([]))
-    assert potentials == []
+def test_log_potentials_broadcast_matches_scalar_potentials():
+    # Each model evaluates all observations in one broadcast; row p must
+    # equal, bit for bit, its potential evaluated on observation p alone.
+    rng = make_stream(21)
+    gandk = GandKModel(half_width=0.3)
+    gandk_theta = np.array([3.0, 1.0, 2.0, 0.5])
+    gandk_data = gandk.simulate(gandk_theta, 6, rng)
+    poisson = PoissonBetaModel(sigma=5.0)
+    poisson_theta = np.array([50.0, 2.0, 8.0])
+    two_state = TwoStateLatentModel()
+    fixture = DiscreteFixtureModel(*get_fixture("d3").build())
+    with np.errstate(divide="ignore"):
+        two_state_logs = np.log(two_state.kernel)
+        fixture_logs = np.log(fixture.potentials.values)
+    cases = [
+        (gandk, gandk_theta, gandk_data,
+         lambda x, y: interval_log_potential(x, y, 0.3)),
+        (poisson, poisson_theta, poisson.simulate(poisson_theta, 6, rng),
+         lambda x, y: normal_log_potential(x, y, 5.0)),
+        (two_state, np.array([0.3]), np.array([1, 0, 0, 1]),
+         lambda x, y: two_state_logs[x, y]),
+        (fixture, np.zeros(0), fixture.factor_indices,
+         lambda x, y: fixture_logs[y, x]),
+    ]
+    for model, theta, data, scalar in cases:
+        latents = model.sample_latent(theta, rng, size=25)
+        matrix = model.log_potentials(data)(latents)
+        assert matrix.shape == (len(data), 25)
+        for p, y in enumerate(data):
+            row = np.array([scalar(x, y) for x in latents], dtype=float)
+            assert np.array_equal(matrix[p], row)
 
 
 def test_log_likelihood_estimator_validation():
