@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .estimators import DimensionError, EnumerationLimitError, PotentialValueError
 from .fixtures import FIXTURES, DiscreteFixtureModel, get_fixture
-from .logspace import log_mean_exp
+from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
     ChainConfig,
     ParticleCountError,
@@ -184,8 +184,6 @@ def load_observations(path: Path) -> np.ndarray:
             value = float(line)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: not a number: {line!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}:{lineno}: observation must be finite, got {line!r}")
         values.append(value)
     if not values:
         raise ConfigError(f"{path}: no observations found")
@@ -298,23 +296,12 @@ def _build_problem(settings: Settings, seed: int):
     data_path = settings.get_str("data")
     if data_path is not None:
         data = load_observations(settings.resolve_path(data_path))
-        if model_name == "two-state":
-            data = _as_symbol_indices(data, model.kernel.shape[1])
     else:
         n_obs = settings.get_int("n_obs", n_obs_default)
         if n_obs < 1:
             raise ConfigError(f"n_obs must be >= 1, got {n_obs}")
         data = model.simulate(theta, n_obs, make_stream(seed, STREAM_DATA))
     return model, theta, data, model_name
-
-
-def _as_symbol_indices(data: np.ndarray, n_symbols: int) -> np.ndarray:
-    indices = data.astype(np.intp)
-    if (indices != data).any() or (indices < 0).any() or (indices >= n_symbols).any():
-        raise ConfigError(
-            f"two-state observations must be integer symbols in [0, {n_symbols})"
-        )
-    return indices
 
 
 def _get_fixture_checked(name: str):
@@ -347,7 +334,7 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
     workspace.write_csv(
         "estimates.csv",
         ("replicate", "log_estimate", "estimate"),
-        ((i, logs[i], math.exp(logs[i])) for i in range(n_replicates)),
+        ((i, logs[i], exp_or_inf(logs[i])) for i in range(n_replicates)),
     )
     workspace.write_json(
         "estimate_summary.json",
@@ -359,7 +346,7 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
             "n_observations": int(np.asarray(data).size),
             "replicates": n_replicates,
             "log_mean_estimate": log_mean_exp(logs),
-            "mean_estimate": math.exp(log_mean_exp(logs)),
+            "mean_estimate": exp_or_inf(log_mean_exp(logs)),
             "relative_variance": (
                 relative_variance_of_logs(logs) if n_replicates >= 2 else None
             ),

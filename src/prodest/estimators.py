@@ -25,6 +25,19 @@ Estimators
     conditional expectation at the cost of n_factors passes: factor p is
     averaged over the columns not yet selected, then one column is drawn
     with probability proportional to that factor's potential and retired.
+
+Recycle kernel
+--------------
+Each step makes one pass over a full row, shifted by the row maximum
+(computed once for the whole matrix): the shifted row is written into a
+reused buffer, retired columns are set to ``-inf`` and the buffer is
+exponentiated in place.  The buffer is zero-padded to whole blocks of
+``_SEARCH_BLOCK`` columns, so the draw is a two-level search: a running
+sum over the block totals finds the block, and a running sum inside that
+one block finds the column.  When the row maximum is already retired and
+the available columns sit hundreds of nats below it, their shifted
+weights would underflow; below ``_MIN_WEIGHT_TOTAL`` the step re-shifts by
+the maximum over the available columns instead.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logspace import RunningLogSum, masked_log_sum_exp
+from .logspace import RunningLogSum, exp_or_inf, masked_log_sum_exp
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -54,6 +67,14 @@ __all__ = [
 
 # Ceiling on exactly enumerated terms; callers may raise it explicitly.
 DEFAULT_ENUMERATION_CAP = 10_000_000
+
+# Columns per block of the recycle kernel's two-level search.
+_SEARCH_BLOCK = 64
+
+# Below this total the available weights of a full-row shift have lost
+# precision to underflow (about exp(-745) is the smallest subnormal), so
+# the recycle kernel re-shifts over the available columns.
+_MIN_WEIGHT_TOTAL = math.exp(-600.0)
 
 
 class DimensionError(ValueError):
@@ -78,6 +99,24 @@ def check_particle_count(
         )
 
 
+def _checked_read_only(lv: np.ndarray) -> np.ndarray:
+    """``lv`` marked read-only; raises unless it is a valid log potential matrix."""
+    if lv.ndim != 2:
+        raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
+    n_factors, n_particles = lv.shape
+    if n_factors < 1:
+        raise DimensionError("need at least one factor")
+    check_particle_count(n_particles, n_factors)
+    if not (lv < np.inf).all():
+        # NaN compares false too, so one pass rejects NaN and +inf.
+        factor, particle = np.argwhere(~(lv < np.inf))[0]
+        raise PotentialValueError(
+            f"log potential {lv[factor, particle]} at factor {factor}, particle {particle}"
+        )
+    lv.flags.writeable = False
+    return lv
+
+
 @dataclass(frozen=True)
 class PotentialMatrix:
     """(n_factors, n_particles) matrix of log potential values.
@@ -85,27 +124,32 @@ class PotentialMatrix:
     Entries live in [-inf, inf): ``-inf`` encodes a vanishing potential,
     NaN and +inf are rejected with the (factor, particle) position of the
     first offending entry.  Requires n_particles >= n_factors so that
-    selection without replacement is possible.  Holds a read-only copy.
+    selection without replacement is possible.
+
+    The constructor holds a read-only copy, so the caller's array may
+    change afterwards.  ``PotentialMatrix.adopt`` runs the same checks but
+    skips the copy; the per-estimate closure of
+    ``models.log_likelihood_estimator`` uses it for the matrix it has just
+    evaluated and never exposes.
     """
 
     log_values: np.ndarray
 
     def __post_init__(self):
-        lv = np.array(self.log_values, dtype=float)
-        if lv.ndim != 2:
-            raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
-        n_factors, n_particles = lv.shape
-        if n_factors < 1:
-            raise DimensionError("need at least one factor")
-        check_particle_count(n_particles, n_factors)
-        if not (lv < np.inf).all():
-            # NaN compares false too, so one pass rejects NaN and +inf.
-            factor, particle = np.argwhere(~(lv < np.inf))[0]
-            raise PotentialValueError(
-                f"log potential {lv[factor, particle]} at factor {factor}, particle {particle}"
-            )
-        lv.flags.writeable = False
+        lv = _checked_read_only(np.array(self.log_values, dtype=float))
         object.__setattr__(self, "log_values", lv)
+
+    @classmethod
+    def adopt(cls, log_values: np.ndarray) -> PotentialMatrix:
+        """Check and wrap an array without copying it.
+
+        The caller hands the array over: it is marked read-only, and
+        nothing else may write to it or to the memory it views.
+        """
+        matrix = object.__new__(cls)
+        lv = _checked_read_only(np.asarray(log_values, dtype=float))
+        object.__setattr__(matrix, "log_values", lv)
+        return matrix
 
     @property
     def n_factors(self) -> int:
@@ -131,7 +175,7 @@ class LogEstimate:
     @property
     def value(self) -> float:
         """Linear-scale value; may underflow to 0.0 or overflow to inf."""
-        return math.exp(self.log_value)
+        return exp_or_inf(self.log_value)
 
 
 @dataclass(frozen=True)
@@ -208,36 +252,88 @@ def estimate_recycle(
     factor p's potential among those available, then retired.  When all
     available potentials for a factor vanish the factor average is zero,
     the estimate is zero from that point on, and the selection falls back
-    to a uniform draw so the trace is always complete.
+    to a uniform draw over the available columns so the trace is always
+    complete.
+
+    Each step costs one pass over the row (see "Recycle kernel" in the
+    module docstring): weights are shifted by the full-row maximum, and
+    by the maximum over the available columns only when the former would
+    leave their total below ``_MIN_WEIGHT_TOTAL``.  The factor average is
+    ``shift + log(total) - log(n_particles - p)``.
 
     Returns the log estimate together with the n_factors selected column
     indices in order.  The estimator is unbiased for the target product
-    and reproducible given (matrix, generator state).
+    and reproducible given (matrix, generator state); it draws exactly one
+    uniform variate per factor.
     """
     lv = matrix.log_values
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
+    n_blocks = -(-n_particles // _SEARCH_BLOCK)
+    padded = np.zeros(n_blocks * _SEARCH_BLOCK)
+    weights = padded[:n_particles]
+    blocks = padded.reshape(n_blocks, _SEARCH_BLOCK)
+    row_max = lv.max(axis=1)
     available = np.ones(n_particles, dtype=bool)
     log_total = 0.0
     picks: list[int] = []
     for p in range(n_factors):
-        candidates = np.flatnonzero(available)
-        vals = lv[p, candidates]
-        shift = vals.max()
         u = rng.random()
-        if shift == -np.inf:
-            log_total = -np.inf
-            j = int(u * candidates.size)
+        row = lv[p]
+        shift = row_max[p]
+        total = 0.0
+        if shift > -np.inf:
+            block_totals = _exp_weights(row, shift, picks, weights, blocks)
+            total = block_totals[-1]
+            if total < _MIN_WEIGHT_TOTAL:
+                # The row maximum is retired and the available weights have
+                # underflowed: shift by the maximum over the available columns.
+                shift = np.max(row, where=available, initial=-np.inf)
+                if shift > -np.inf:
+                    block_totals = _exp_weights(row, shift, picks, weights, blocks)
+                    total = block_totals[-1]
+        if total > 0.0:
+            log_total += shift + math.log(total) - math.log(n_particles - p)
+            k = _search_blocks(blocks, block_totals, u * total)
         else:
-            weights = np.exp(vals - shift)
-            # The pairwise weights.sum() can differ from the sequential
-            # cumulative[-1] in the last bits; the log estimate uses the former.
-            log_total += shift + np.log(weights.sum()) - math.log(n_particles - p)
-            cumulative = np.cumsum(weights)
-            j = int(np.searchsorted(cumulative, u * cumulative[-1], side="right"))
-        k = int(candidates[min(j, candidates.size - 1)])
+            log_total = -np.inf
+            k = int(np.flatnonzero(available)[int(u * (n_particles - p))])
         picks.append(k)
         available[k] = False
     return LogEstimate(log_total), SelectionTrace(tuple(picks))
+
+
+def _exp_weights(
+    row: np.ndarray, shift: float, picks: list[int], weights: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """Fill ``weights`` with exp(row - shift), zero at the retired ``picks``.
+
+    ``weights`` is the leading part of the zero-padded buffer that
+    ``blocks`` views; returns the running sum over the block totals.
+    """
+    np.subtract(row, shift, out=weights)
+    weights[picks] = -np.inf
+    np.exp(weights, out=weights)
+    return np.cumsum(blocks.sum(axis=1))
+
+
+def _search_blocks(blocks: np.ndarray, block_totals: np.ndarray, target: float) -> int:
+    """First column whose running weight sum exceeds ``target``.
+
+    ``block_totals`` is the running sum over the rows of ``blocks``, and
+    ``target`` lies in [0, block_totals[-1]), so the block found has a
+    positive total.  The column found inside it has a positive weight,
+    hence is neither retired nor padding.
+    """
+    b = int(np.searchsorted(block_totals, target, side="right"))
+    if b:
+        target -= block_totals[b - 1]
+    block = blocks[b]
+    j = int(np.searchsorted(np.cumsum(block), target, side="right"))
+    if j == block.size:
+        # The block total and the running sum inside the block round
+        # differently; a target between them falls to the last positive weight.
+        j = int(np.flatnonzero(block)[-1])
+    return b * block.size + j
 
 
 def recycle_log_estimates_batch(

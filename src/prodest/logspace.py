@@ -6,14 +6,25 @@ an exact zero, and no helper here ever produces NaN from valid inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
+    "exp_or_inf",
     "log_mean_exp",
     "masked_log_sum_exp",
     "RunningLogSum",
 ]
+
+
+def exp_or_inf(log_value: float) -> float:
+    """Linear-scale value of a log value: underflows to 0.0, overflows to inf."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def log_mean_exp(log_values, axis=None) -> float | np.ndarray:

@@ -9,7 +9,8 @@ and the MCMC driver:
 * ``theta_dim``, ``param_names``
 * ``sample_latent(theta, rng, size)``, one latent draw per particle
 * ``log_potentials(data)``, which checks and binds the observations once
-  and returns a function mapping n_particles latents to the
+  (they must be finite, and integer symbols for the two-state model) and
+  returns a function mapping n_particles latents to the
   (n_obs, n_particles) log potential matrix in one broadcast, one row per
   observation
 * ``simulate(theta, n_obs, rng)``, synthetic observations
@@ -260,7 +261,7 @@ class GandKModel:
         return gandk_quantile_transform(rng.standard_normal(size), self.params(theta))
 
     def log_potentials(self, data) -> Callable:
-        centers = _observation_column(data, float)
+        centers = _observation_column(data)
         half_width = self.half_width
         return lambda x: interval_log_potential(np.asarray(x)[None, :], centers, half_width)
 
@@ -294,7 +295,7 @@ class PoissonBetaModel:
         return sample_poisson_beta(self.params(theta), rng, size=size)
 
     def log_potentials(self, data) -> Callable:
-        centers = _observation_column(data, float)
+        centers = _observation_column(data)
         sigma = self.sigma
         return lambda x: normal_log_potential(np.asarray(x)[None, :], centers, sigma)
 
@@ -341,8 +342,18 @@ class TwoStateLatentModel:
         weight = self._weight(theta)
         return (rng.random(size) < weight).astype(np.intp)
 
+    def _symbol_column(self, data) -> np.ndarray:
+        """Observations as an (n_obs, 1) column of symbol indices into the kernel."""
+        column = _observation_column(data)
+        n_symbols = self.kernel.shape[1]
+        if not ((column >= 0) & (column < n_symbols) & (column == np.floor(column))).all():
+            raise ValueError(
+                f"two-state observations must be integer symbols in [0, {n_symbols})"
+            )
+        return column.astype(np.intp)
+
     def log_potentials(self, data) -> Callable:
-        symbols = _observation_column(data, np.intp)
+        symbols = self._symbol_column(data)
         with np.errstate(divide="ignore"):
             log_kernel = np.log(self.kernel)
         return lambda x: log_kernel[np.asarray(x, dtype=np.intp)[None, :], symbols]
@@ -356,7 +367,7 @@ class TwoStateLatentModel:
     def exact_log_likelihood(self, theta, data) -> float:
         weight = self._weight(theta)
         mix = (1.0 - weight) * self.kernel[0] + weight * self.kernel[1]
-        obs = np.asarray(data, dtype=np.intp)
+        obs = self._symbol_column(data)[:, 0]
         with np.errstate(divide="ignore"):
             return float(np.log(mix[obs]).sum())
 
@@ -364,11 +375,14 @@ class TwoStateLatentModel:
         return PriorSpec((UniformPrior(0.0, 1.0),))
 
 
-def _observation_column(data, dtype) -> np.ndarray:
-    """Observations as an (n_obs, 1) column, ready to broadcast against particles."""
-    data = np.asarray(data, dtype=dtype)
+def _observation_column(data) -> np.ndarray:
+    """Finite observations as an (n_obs, 1) column, ready to broadcast against particles."""
+    data = np.asarray(data, dtype=float)
     if data.ndim != 1:
         raise DimensionError(f"observations must be a 1-d vector, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        bad = int(np.flatnonzero(~np.isfinite(data))[0])
+        raise ValueError(f"observations must be finite, got {data[bad]} at index {bad}")
     return data[:, None]
 
 
@@ -402,7 +416,9 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
 
     def estimate(theta, rng: np.random.Generator) -> float:
         latents = model.sample_latent(theta, rng, size=n_particles)
-        matrix = PotentialMatrix(log_potential_matrix(latents))
+        # The matrix is made here and never leaves this call, so it is
+        # checked without the constructor's defensive copy.
+        matrix = PotentialMatrix.adopt(log_potential_matrix(latents))
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
         if kind == "simple":

@@ -157,6 +157,41 @@ def test_estimate_model_with_data_file(tmp_path):
     assert summary["n_observations"] == 4
 
 
+@pytest.mark.parametrize("bad", ["0.5", "-1", "2"])
+def test_estimate_two_state_bad_symbol_exits_2(tmp_path, capsys, bad):
+    (tmp_path / "obs.dat").write_text(f"0\n{bad}\n1\n")
+    config = write_config(
+        tmp_path, "model = two-state\ntheta = 0.5\ndata = obs.dat\nn_particles = 6\n"
+    )
+    out = tmp_path / "results"
+    assert run(["estimate", "--config", config, "--out", out,
+                "--replicates", 4]) == 2
+    assert "integer symbols in [0, 2)" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_estimate_overflowing_likelihood_writes_inf(tmp_path):
+    # Near-zero latent counts and sigma = 0.001 put every log estimate
+    # near 200 * 5.99 > 709, past the largest finite exp.
+    (tmp_path / "zeros.dat").write_text("0\n" * 200)
+    config = write_config(
+        tmp_path,
+        "model = poisson-beta\ntheta = 0.01, 2, 8\nsigma = 0.001\n"
+        "data = zeros.dat\nestimator = recycle\nn_particles = 400\n",
+    )
+    out = tmp_path / "results"
+    assert run(["estimate", "--config", config, "--out", out,
+                "--replicates", 5]) == 0
+    lines = (out / "estimates.csv").read_text().splitlines()
+    assert lines[1] == "replicate,log_estimate,estimate"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(float(row[1]) > 709.8 and row[2] == "inf" for row in rows)
+    summary = json.loads((out / "estimate_summary.json").read_text())
+    assert summary["log_mean_estimate"] > 709.8
+    assert summary["mean_estimate"] == "inf"
+
+
 # ----------------------------------------------------------------- oracle run
 
 

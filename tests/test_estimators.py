@@ -67,6 +67,20 @@ def test_potential_matrix_read_only_copy():
         matrix.log_values[0, 0] = 9.0
 
 
+def test_potential_matrix_adopt_checks_without_copy():
+    source = np.zeros((2, 3))
+    matrix = PotentialMatrix.adopt(source)
+    assert np.shares_memory(matrix.log_values, source)
+    with pytest.raises(ValueError):
+        matrix.log_values[0, 0] = 9.0
+    with pytest.raises(DimensionError):
+        PotentialMatrix.adopt(np.zeros((3, 2)))
+    bad = np.zeros((2, 3))
+    bad[1, 2] = math.nan
+    with pytest.raises(PotentialValueError, match="nan at factor 1, particle 2"):
+        PotentialMatrix.adopt(bad)
+
+
 def test_potential_matrix_reports_bad_entry_location():
     values = np.zeros((3, 4))
     values[1, 2] = math.nan
@@ -81,6 +95,7 @@ def test_potential_matrix_reports_bad_entry_location():
 def test_log_estimate_values():
     assert LogEstimate(0.0).value == 1.0
     assert LogEstimate(NEG_INF).value == 0.0
+    assert LogEstimate(710.0).value == math.inf
     with pytest.raises(ValueError):
         LogEstimate(math.nan)
     with pytest.raises(ValueError):
@@ -182,6 +197,44 @@ def test_recycle_golden_pin():
     estimate, trace = estimate_recycle(PotentialMatrix(values), make_stream(7, 1))
     assert estimate.log_value == pytest.approx(6.214616789614282, rel=1e-14)
     assert tuple(trace.indices) == (31, 27, 26, 21, 4)
+
+
+def test_recycle_multi_block_golden_pin():
+    # Spans six search blocks, the last one partly padding; column 5 is the
+    # maximum of every row but one, so later steps run with it retired.
+    # Values recorded with the kernel that searched a compacted row.
+    rng = np.random.default_rng(2025)
+    values = rng.normal(scale=3.0, size=(12, 333))
+    values[rng.random((12, 333)) < 0.3] = NEG_INF
+    values[:, 5] = 12.0
+    estimate, trace = estimate_recycle(PotentialMatrix(values), make_stream(9, 2))
+    assert estimate.log_value == pytest.approx(51.60297854390586, rel=1e-14)
+    assert tuple(trace.indices) == (
+        5, 48, 199, 65, 265, 43, 308, 170, 141, 266, 207, 78
+    )
+
+
+def test_recycle_underflow_after_retired_maximum():
+    # Factor 0 can only retire column 0, the maximum of row 1.  Row 1's
+    # available entries sit 800+ nats below it: shifted by the full-row
+    # maximum their weights underflow to zero, which must not zero the
+    # estimate.
+    n_particles = 100
+    first = np.full(n_particles, NEG_INF)
+    first[0] = 0.0
+    second = np.array([0.0] + [-800.0] * 49 + [-801.0] * 50)
+    matrix = PotentialMatrix(np.array([first, second]))
+    expected = (
+        -math.log(n_particles)
+        - 800.0
+        + math.log((49.0 + 50.0 * math.exp(-1.0)) / (n_particles - 1))
+    )
+    rng = make_stream(19)
+    for _ in range(20):
+        estimate, trace = estimate_recycle(matrix, rng)
+        assert estimate.log_value == pytest.approx(expected, rel=1e-14)
+        assert trace.indices[0] == 0
+        assert 1 <= trace.indices[1] < n_particles
 
 
 def test_single_factor_estimators_agree():
@@ -307,7 +360,8 @@ class _TopUniform:
     """Stands in for a generator whose every uniform is the largest below 1."""
 
     def random(self, size=None):
-        return np.full(size, 1.0 - 2.0**-53)
+        top = 1.0 - 2.0**-53
+        return top if size is None else np.full(size, top)
 
 
 def test_batch_recycle_top_uniform_stays_in_range():
@@ -320,6 +374,22 @@ def test_batch_recycle_top_uniform_stays_in_range():
     tensor = np.array([[row, row]])
     logs = recycle_log_estimates_batch(tensor, _TopUniform())
     assert np.isfinite(logs).all()
+
+
+@pytest.mark.parametrize("n_particles", [65, 129])
+def test_recycle_top_uniform_picks_stay_out_of_padding(n_particles):
+    # The search buffer is padded with zero weights to a multiple of 64
+    # columns.  With every uniform just below 1, each step must take the
+    # last available column, never a padding slot past it.
+    rng = np.random.default_rng(n_particles)
+    values = rng.normal(size=(n_particles, n_particles))
+    estimate, trace = estimate_recycle(PotentialMatrix(values), _TopUniform())
+    assert tuple(trace.indices) == tuple(range(n_particles - 1, -1, -1))
+    expected = sum(
+        np.logaddexp.reduce(values[p, : n_particles - p]) - math.log(n_particles - p)
+        for p in range(n_particles)
+    )
+    assert estimate.log_value == pytest.approx(expected, rel=1e-12)
 
 
 def test_batch_recycle_matches_exact_moments():

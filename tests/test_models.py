@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,7 +256,41 @@ def test_two_state_weight_validation():
         model.exact_log_likelihood(np.array([1.5]), np.array([0]))
 
 
+@pytest.mark.parametrize("symbols", [[0.7, -1, 1.9], [0, 1, 2], [1, -1], [0.5]])
+def test_two_state_rejects_non_symbol_observations(symbols):
+    model = TwoStateLatentModel()
+    with pytest.raises(ValueError, match="integer symbols in \\[0, 2\\)"):
+        model.log_potentials(symbols)
+    with pytest.raises(ValueError, match="integer symbols in \\[0, 2\\)"):
+        model.exact_log_likelihood(np.array([0.5]), symbols)
+
+
+def test_two_state_accepts_integral_float_symbols():
+    model = TwoStateLatentModel()
+    theta = np.array([0.3])
+    assert model.exact_log_likelihood(theta, [1.0, 0.0]) == model.exact_log_likelihood(
+        theta, np.array([1, 0])
+    )
+    latents = np.array([0, 1, 1])
+    assert np.array_equal(
+        model.log_potentials([1.0, 0.0])(latents),
+        model.log_potentials(np.array([1, 0]))(latents),
+    )
+
+
 # -------------------------------------------------------- estimator plumbing
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "model",
+    [GandKModel(), PoissonBetaModel(), TwoStateLatentModel()],
+    ids=["gandk", "poisson-beta", "two-state"],
+)
+def test_log_potentials_reject_non_finite_observations(model, bad):
+    data = np.array([1.0, bad, 0.0])
+    with pytest.raises(ValueError, match="observations must be finite"):
+        log_likelihood_estimator(model, data, "recycle", 30)
 
 
 def test_log_potentials_broadcast_matches_scalar_potentials():
@@ -306,6 +341,24 @@ def test_log_likelihood_estimator_empty_data_is_unit():
     model = TwoStateLatentModel()
     estimate = log_likelihood_estimator(model, np.array([]), "recycle", 4)
     assert estimate(np.array([0.5]), make_stream(0)) == 0.0
+
+
+def test_recycle_estimate_peak_memory_is_one_matrix():
+    # A steady-state estimate holds the (n_obs, n_particles) potential
+    # matrix once: no defensive copy and no matrix-sized temporaries.
+    model = PoissonBetaModel(sigma=5.0)
+    theta = np.array([500.0, 2.0, 8.0])
+    data = model.simulate(theta, 50, make_stream(31))
+    estimate = log_likelihood_estimator(model, data, "recycle", 6400)
+    rng = make_stream(32)
+    estimate(theta, rng)
+    tracemalloc.start()
+    try:
+        estimate(theta, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 50 * 6400 * 8
 
 
 @pytest.mark.parametrize("kind", ["simple", "recycle", "perm"])
