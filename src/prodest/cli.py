@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import DimensionError, EnumerationLimitError, PotentialValueError
+from .estimators import DimensionError, EnumerationLimitError
 from .fixtures import FIXTURES, DiscreteFixtureModel, get_fixture
 from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
@@ -597,37 +597,42 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    workspace = None
     try:
-        if args.config is not None:
-            try:
-                text = args.config.read_text()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-            values = parse_config_text(text, str(args.config))
-            base_dir = args.config.resolve().parent
-        else:
-            values, base_dir = {}, Path.cwd()
-        for key in ("seed", "out", "replicates", "estimator"):
-            override = getattr(args, key)
-            if override is not None:
-                values[key] = str(override)
-        settings = Settings(values, args.command, base_dir)
-        seed = settings.get_int("seed", 1)
-        workspace = Workspace(Path(settings.get_str("out", "results")), seed)
-        _COMMANDS[args.command](settings, workspace, seed)
+        _run(args)
         return 0
+    # PotentialValueError subclasses ValueError, so bad potentials exit 2.
     except (ConfigError, ValueError, KeyError, DimensionError) as exc:
-        if workspace is not None:
-            workspace.discard()
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except (EnumerationLimitError, ParticleCountError, PotentialValueError, RuntimeError) as exc:
-        if workspace is not None:
-            workspace.discard()
+    except (EnumerationLimitError, ParticleCountError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _run(args) -> None:
+    """Run one command; whatever it raises, the files it wrote are removed."""
+    if args.config is not None:
+        try:
+            text = args.config.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        values = parse_config_text(text, str(args.config))
+        base_dir = args.config.resolve().parent
+    else:
+        values, base_dir = {}, Path.cwd()
+    for key in ("seed", "out", "replicates", "estimator"):
+        override = getattr(args, key)
+        if override is not None:
+            values[key] = str(override)
+    settings = Settings(values, args.command, base_dir)
+    seed = settings.get_int("seed", 1)
+    workspace = Workspace(Path(settings.get_str("out", "results")), seed)
+    try:
+        _COMMANDS[args.command](settings, workspace, seed)
+    except BaseException:
+        workspace.discard()
+        raise
 
 
 if __name__ == "__main__":

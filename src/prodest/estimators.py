@@ -38,6 +38,14 @@ one block finds the column.  When the row maximum is already retired and
 the available columns sit hundreds of nats below it, their shifted
 weights would underflow; below ``_MIN_WEIGHT_TOTAL`` the step re-shifts by
 the maximum over the available columns instead.
+
+A matrix with ``columns`` (tied particles, see ``PotentialMatrix``) stores
+one column per distinct latent value.  Each step then shifts and
+exponentiates that K-long row, gathers it into the same particle-ordered
+buffer and zeroes the retired particles; the re-shift takes the maximum
+over the columns that still have an available particle.  ``exp`` is
+elementwise, so the buffer holds the same numbers as for the expanded
+matrix and the selections, uniforms and log value are bit-identical.
 """
 
 from __future__ import annotations
@@ -99,22 +107,53 @@ def check_particle_count(
         )
 
 
-def _checked_read_only(lv: np.ndarray) -> np.ndarray:
-    """``lv`` marked read-only; raises unless it is a valid log potential matrix."""
+def _check_log_values(values: np.ndarray, columns: np.ndarray | None = None) -> None:
+    """Raise ``PotentialValueError`` at the first NaN or +inf entry.
+
+    The last axis of ``values`` indexes particles, or, with ``columns``,
+    the columns that ``columns`` maps the particles to; the error names the
+    position in the expanded array either way.
+    """
+    # NaN compares false too, so one pass rejects NaN and +inf.
+    if (values < np.inf).all():
+        return
+    if columns is not None:
+        values = values[:, columns]
+    position = tuple(np.argwhere(~(values < np.inf))[0])
+    names = ("replicate", "factor", "particle")[-values.ndim :]
+    where = ", ".join(f"{name} {index}" for name, index in zip(names, position))
+    raise PotentialValueError(f"log potential {values[position]} at {where}")
+
+
+def _checked_read_only(
+    lv: np.ndarray, columns: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``lv`` and ``columns`` marked read-only; raises unless they form a valid matrix."""
     if lv.ndim != 2:
         raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
     n_factors, n_particles = lv.shape
     if n_factors < 1:
         raise DimensionError("need at least one factor")
+    if columns is not None:
+        if columns.ndim != 1 or columns.dtype.kind not in "iu":
+            raise DimensionError(
+                f"columns must be a 1-d integer array, got {columns.dtype} {columns.shape}"
+            )
+        columns = columns.astype(np.intp, copy=False)
+        n_columns, n_particles = n_particles, columns.size
+        # Every column is some particle's, so a row maximum is a maximum
+        # over particles and every bad entry has a particle position.
+        if (
+            columns.min(initial=0) < 0
+            or columns.max(initial=-1) != n_columns - 1
+            or not np.bincount(columns).all()
+        ):
+            raise DimensionError(f"columns must map the particles onto all {n_columns} columns")
+        columns.flags.writeable = False
     check_particle_count(n_particles, n_factors)
-    if not (lv < np.inf).all():
-        # NaN compares false too, so one pass rejects NaN and +inf.
-        factor, particle = np.argwhere(~(lv < np.inf))[0]
-        raise PotentialValueError(
-            f"log potential {lv[factor, particle]} at factor {factor}, particle {particle}"
-        )
+    _check_log_values(lv, columns)
     lv.flags.writeable = False
-    return lv
+    return lv, columns
 
 
 @dataclass(frozen=True)
@@ -126,30 +165,46 @@ class PotentialMatrix:
     first offending entry.  Requires n_particles >= n_factors so that
     selection without replacement is possible.
 
-    The constructor holds a read-only copy, so the caller's array may
+    Particles that share a latent value share a column of potentials.
+    Given ``columns``, the matrix is stored in that compressed form:
+    ``log_values`` is (n_factors, n_columns), one column per distinct
+    value, ``columns[j]`` is particle j's column and must reach every
+    column, and n_particles is ``len(columns)``.  The matrix it stands for
+    is ``log_values[:, columns]``, which ``expanded`` returns; the NaN/+inf
+    check runs on the compressed values and names a bad entry at its first
+    particle.  ``estimate_recycle`` works on the compressed form directly.
+
+    The constructor holds read-only copies, so the caller's arrays may
     change afterwards.  ``PotentialMatrix.adopt`` runs the same checks but
-    skips the copy; the per-estimate closure of
+    skips the copies; the per-estimate closure of
     ``models.log_likelihood_estimator`` uses it for the matrix it has just
     evaluated and never exposes.
     """
 
     log_values: np.ndarray
+    columns: np.ndarray | None = None
 
     def __post_init__(self):
-        lv = _checked_read_only(np.array(self.log_values, dtype=float))
-        object.__setattr__(self, "log_values", lv)
+        columns = None if self.columns is None else np.array(self.columns)
+        self._set(_checked_read_only(np.array(self.log_values, dtype=float), columns))
 
     @classmethod
-    def adopt(cls, log_values: np.ndarray) -> PotentialMatrix:
-        """Check and wrap an array without copying it.
+    def adopt(
+        cls, log_values: np.ndarray, columns: np.ndarray | None = None
+    ) -> PotentialMatrix:
+        """Check and wrap arrays without copying them.
 
-        The caller hands the array over: it is marked read-only, and
-        nothing else may write to it or to the memory it views.
+        The caller hands the arrays over: they are marked read-only, and
+        nothing else may write to them or to the memory they view.
         """
         matrix = object.__new__(cls)
-        lv = _checked_read_only(np.asarray(log_values, dtype=float))
-        object.__setattr__(matrix, "log_values", lv)
+        columns = None if columns is None else np.asarray(columns)
+        matrix._set(_checked_read_only(np.asarray(log_values, dtype=float), columns))
         return matrix
+
+    def _set(self, checked: tuple[np.ndarray, np.ndarray | None]) -> None:
+        object.__setattr__(self, "log_values", checked[0])
+        object.__setattr__(self, "columns", checked[1])
 
     @property
     def n_factors(self) -> int:
@@ -157,7 +212,15 @@ class PotentialMatrix:
 
     @property
     def n_particles(self) -> int:
-        return self.log_values.shape[1]
+        if self.columns is None:
+            return self.log_values.shape[1]
+        return self.columns.size
+
+    def expanded(self) -> np.ndarray:
+        """The (n_factors, n_particles) log potential values, one column per particle."""
+        if self.columns is None:
+            return self.log_values
+        return self.log_values[:, self.columns]
 
 
 @dataclass(frozen=True)
@@ -211,7 +274,7 @@ def estimate_simple(matrix: PotentialMatrix, block_size: int) -> LogEstimate:
             f"simple estimator needs n_particles == n_factors * block_size, "
             f"got {n_particles} != {n_factors} * {block_size}"
         )
-    lv = matrix.log_values
+    lv = matrix.expanded()
     total = 0.0
     log_block = math.log(block_size)
     for p in range(n_factors):
@@ -230,7 +293,7 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
     from the target product whenever the same particle enters several
     factors, so this is the (generally biased) reference point.
     """
-    lv = matrix.log_values
+    lv = matrix.expanded()
     log_n = math.log(matrix.n_particles)
     total = 0.0
     for p in range(matrix.n_factors):
@@ -259,19 +322,23 @@ def estimate_recycle(
     module docstring): weights are shifted by the full-row maximum, and
     by the maximum over the available columns only when the former would
     leave their total below ``_MIN_WEIGHT_TOTAL``.  The factor average is
-    ``shift + log(total) - log(n_particles - p)``.
+    ``shift + log(total) - log(n_particles - p)``.  A compressed matrix
+    (``columns``) is exponentiated one distinct value at a time and gives
+    the same result, draw for draw, as its expanded form.
 
-    Returns the log estimate together with the n_factors selected column
-    indices in order.  The estimator is unbiased for the target product
-    and reproducible given (matrix, generator state); it draws exactly one
-    uniform variate per factor.
+    Returns the log estimate together with the n_factors selected particle
+    indices (columns of the expanded matrix) in order.  The estimator is
+    unbiased for the target product and reproducible given (matrix,
+    generator state); it draws exactly one uniform variate per factor.
     """
-    lv = matrix.log_values
+    lv, columns = matrix.log_values, matrix.columns
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
     n_blocks = -(-n_particles // _SEARCH_BLOCK)
     padded = np.zeros(n_blocks * _SEARCH_BLOCK)
     weights = padded[:n_particles]
     blocks = padded.reshape(n_blocks, _SEARCH_BLOCK)
+    # Exponentiated compressed row; only the tied form uses it.
+    distinct = None if columns is None else np.empty(lv.shape[1])
     row_max = lv.max(axis=1)
     available = np.ones(n_particles, dtype=bool)
     log_total = 0.0
@@ -282,14 +349,22 @@ def estimate_recycle(
         shift = row_max[p]
         total = 0.0
         if shift > -np.inf:
-            block_totals = _exp_weights(row, shift, picks, weights, blocks)
+            block_totals = _exp_weights(row, shift, picks, weights, blocks, columns, distinct)
             total = block_totals[-1]
             if total < _MIN_WEIGHT_TOTAL:
                 # The row maximum is retired and the available weights have
                 # underflowed: shift by the maximum over the available columns.
-                shift = np.max(row, where=available, initial=-np.inf)
+                live = available
+                if columns is not None:
+                    live = np.bincount(columns[available], minlength=lv.shape[1]) > 0
+                    # Fully retired columns may sit far above the new shift;
+                    # keep them out of the exp so it cannot overflow.
+                    row = np.where(live, row, -np.inf)
+                shift = np.max(row, where=live, initial=-np.inf)
                 if shift > -np.inf:
-                    block_totals = _exp_weights(row, shift, picks, weights, blocks)
+                    block_totals = _exp_weights(
+                        row, shift, picks, weights, blocks, columns, distinct
+                    )
                     total = block_totals[-1]
         if total > 0.0:
             log_total += shift + math.log(total) - math.log(n_particles - p)
@@ -303,16 +378,32 @@ def estimate_recycle(
 
 
 def _exp_weights(
-    row: np.ndarray, shift: float, picks: list[int], weights: np.ndarray, blocks: np.ndarray
+    row: np.ndarray,
+    shift: float,
+    picks: list[int],
+    weights: np.ndarray,
+    blocks: np.ndarray,
+    columns: np.ndarray | None,
+    distinct: np.ndarray | None,
 ) -> np.ndarray:
     """Fill ``weights`` with exp(row - shift), zero at the retired ``picks``.
 
     ``weights`` is the leading part of the zero-padded buffer that
-    ``blocks`` views; returns the running sum over the block totals.
+    ``blocks`` views; returns the running sum over the block totals.  With
+    ``columns``, ``row`` is a compressed row: it is exponentiated into
+    ``distinct`` and gathered into ``weights`` particle by particle.
     """
-    np.subtract(row, shift, out=weights)
-    weights[picks] = -np.inf
-    np.exp(weights, out=weights)
+    if columns is None:
+        np.subtract(row, shift, out=weights)
+        weights[picks] = -np.inf
+        np.exp(weights, out=weights)
+    else:
+        np.subtract(row, shift, out=distinct)
+        np.exp(distinct, out=distinct)
+        # ``columns`` is checked to lie in range; "clip" skips the
+        # buffered bounds check of the default mode.
+        np.take(distinct, columns, out=weights, mode="clip")
+        weights[picks] = 0.0
     return np.cumsum(blocks.sum(axis=1))
 
 
@@ -349,8 +440,7 @@ def recycle_log_estimates_batch(
     lt = np.asarray(log_tensor, dtype=float)
     if lt.ndim != 3:
         raise DimensionError(f"expected a 3-d tensor, got shape {lt.shape}")
-    if np.isnan(lt).any():
-        raise PotentialValueError("log potential tensor contains NaN")
+    _check_log_values(lt)
     n_replicates, n_factors, n_particles = lt.shape
     check_particle_count(n_particles, n_factors)
     available = np.ones((n_replicates, n_particles), dtype=bool)
@@ -403,7 +493,7 @@ def estimate_perm_exact(
             f"enumeration infeasible: {n_terms} ordered selections exceed "
             f"the cap of {max_terms}"
         )
-    lv = matrix.log_values
+    lv = matrix.expanded()
     rows = np.arange(n_factors)
     accumulator = RunningLogSum()
     selections = itertools.permutations(range(n_particles), n_factors)

@@ -12,9 +12,16 @@ and the MCMC driver:
   (they must be finite, and integer symbols for the two-state model) and
   returns a function mapping n_particles latents to the
   (n_obs, n_particles) log potential matrix in one broadcast, one row per
-  observation
+  observation; entry (p, j) may depend only on observation p and latent j
 * ``simulate(theta, n_obs, rng)``, synthetic observations
 * ``default_prior()``
+
+``log_likelihood_estimator`` relies on that entry rule: for integer
+latents (Poisson-Beta counts, two-state states, fixture support points)
+it evaluates the potentials once per distinct value and hands the
+estimators a compressed ``PotentialMatrix`` whose ``columns`` map each
+particle to its value's column; float latents (g-and-k) get the full
+matrix.  Both give the same estimates, bit for bit.
 
 Included models: the g-and-k quantile distribution observed through a
 uniform perturbation (indicator potentials), the Poisson-Beta count
@@ -415,10 +422,15 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     log_potential_matrix = model.log_potentials(data)
 
     def estimate(theta, rng: np.random.Generator) -> float:
-        latents = model.sample_latent(theta, rng, size=n_particles)
+        latents = np.asarray(model.sample_latent(theta, rng, size=n_particles))
         # The matrix is made here and never leaves this call, so it is
         # checked without the constructor's defensive copy.
-        matrix = PotentialMatrix.adopt(log_potential_matrix(latents))
+        if latents.dtype.kind in "iu":
+            # Integer latents repeat: evaluate each distinct value once.
+            values, columns = np.unique(latents, return_inverse=True)
+            matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
+        else:
+            matrix = PotentialMatrix.adopt(log_potential_matrix(latents))
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
         if kind == "simple":

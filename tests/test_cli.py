@@ -253,6 +253,23 @@ def test_tune_failure_leaves_no_outputs(tmp_path):
     assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
 
 
+def test_unexpected_error_leaves_no_outputs(tmp_path, monkeypatch):
+    # A failure after the results are written, of a kind main does not map
+    # to an exit code, must still remove them, then propagate.
+    write_json = Workspace.write_json
+
+    def write_then_fail(self, name, payload):
+        write_json(self, name, payload)
+        raise ZeroDivisionError("after writing")
+
+    monkeypatch.setattr(Workspace, "write_json", write_then_fail)
+    config = write_config(tmp_path, "fixture = d1\nestimator = recycle\nn_particles = 2\n")
+    out = tmp_path / "results"
+    with pytest.raises(ZeroDivisionError, match="after writing"):
+        run(["estimate", "--config", config, "--out", out, "--replicates", 8])
+    assert out.is_dir() and not list(out.iterdir())
+
+
 # ------------------------------------------------------------------ mcmc run
 
 

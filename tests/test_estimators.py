@@ -300,6 +300,118 @@ def test_recycle_never_redraws_retired_column():
         assert len(set(trace.indices)) == 3
 
 
+# ------------------------------------------------------------ tied particles
+
+
+def _tied(seed, n_factors, n_particles, n_values, neg_inf_share=0.0):
+    """Seeded integer latents with repeats, as the compressed (values, columns) pair."""
+    rng = np.random.default_rng(seed)
+    latents = rng.integers(0, n_values, size=n_particles)
+    distinct, columns = np.unique(latents, return_inverse=True)
+    table = rng.normal(scale=3.0, size=(n_factors, n_values))
+    table[rng.random(table.shape) < neg_inf_share] = NEG_INF
+    return table[:, distinct], columns
+
+
+def _assert_recycle_matches_expanded(log_values, columns, make_rng, n_estimates=20):
+    """The compressed matrix gives the expanded matrix's traces and log values, bit for bit."""
+    tied = PotentialMatrix(log_values, columns)
+    expanded = PotentialMatrix(log_values[:, columns])
+    assert tied.n_particles == expanded.n_particles == columns.size
+    tied_rng, expanded_rng = make_rng(), make_rng()
+    results = []
+    for _ in range(n_estimates):
+        estimate, trace = estimate_recycle(tied, tied_rng)
+        reference, reference_trace = estimate_recycle(expanded, expanded_rng)
+        assert estimate.log_value == reference.log_value
+        assert trace.indices == reference_trace.indices
+        results.append((estimate.log_value, trace.indices))
+    return results
+
+
+def test_tied_recycle_matches_expanded_with_zero_potentials():
+    log_values, columns = _tied(31, 8, 300, 40, neg_inf_share=0.3)
+    results = _assert_recycle_matches_expanded(log_values, columns, lambda: make_stream(31, 1))
+    assert any(log_value > NEG_INF for log_value, _ in results)
+
+
+def test_tied_recycle_matches_expanded_after_underflow():
+    # Value 0 is particle 5's alone and the only support of factor 0, so
+    # step 0 retires its whole column.  It is factor 1's maximum by 800+
+    # nats, so step 1 takes the re-shift over the columns still available.
+    rng = np.random.default_rng(32)
+    latents = rng.integers(1, 30, size=200)
+    latents[5] = 0
+    distinct, columns = np.unique(latents, return_inverse=True)
+    log_values = np.full((2, distinct.size), NEG_INF)
+    log_values[0, 0] = 0.0
+    log_values[1] = -800.0 - rng.random(distinct.size)
+    log_values[1, 0] = 0.0
+    with np.errstate(over="raise"):
+        results = _assert_recycle_matches_expanded(
+            log_values, columns, lambda: make_stream(32, 1)
+        )
+    for log_value, trace in results:
+        assert trace[0] == 5
+        assert -1000.0 < log_value < -800.0
+
+
+def test_tied_recycle_matches_expanded_on_vanishing_factor():
+    # Factor 2 vanishes on every particle: the estimate is zero and the
+    # step falls back to a uniform pick.
+    log_values, columns = _tied(33, 4, 150, 25, neg_inf_share=0.2)
+    log_values[2] = NEG_INF
+    results = _assert_recycle_matches_expanded(log_values, columns, lambda: make_stream(33, 1))
+    assert all(log_value == NEG_INF and len(trace) == 4 for log_value, trace in results)
+
+
+@pytest.mark.parametrize("n_particles", [65, 129])
+def test_tied_recycle_matches_expanded_across_padding(n_particles):
+    log_values, columns = _tied(n_particles, 40, n_particles, 17, neg_inf_share=0.1)
+    _assert_recycle_matches_expanded(log_values, columns, lambda: make_stream(34, n_particles))
+    # Every uniform just below 1 draws next to the padding.
+    _assert_recycle_matches_expanded(log_values, columns, _TopUniform, 1)
+
+
+def test_tied_matrix_feeds_every_estimator_its_expanded_values():
+    log_values, columns = _tied(35, 3, 12, 5, neg_inf_share=0.2)
+    tied = PotentialMatrix(log_values, columns)
+    expanded = PotentialMatrix(log_values[:, columns])
+    assert np.array_equal(tied.expanded(), expanded.log_values)
+    assert estimate_simple(tied, 4).log_value == estimate_simple(expanded, 4).log_value
+    assert estimate_biased(tied).log_value == estimate_biased(expanded).log_value
+    assert estimate_perm_exact(tied).log_value == estimate_perm_exact(expanded).log_value
+
+
+def test_tied_matrix_reports_bad_entry_at_first_particle():
+    columns = np.array([2, 0, 1, 2, 1, 0])
+    values = np.zeros((3, 3))
+    values[1, 1] = math.nan
+    with pytest.raises(PotentialValueError, match="nan at factor 1, particle 2"):
+        PotentialMatrix(values, columns)
+    values[1, 1] = 0.0
+    values[2, 0] = math.inf
+    with pytest.raises(PotentialValueError, match="inf at factor 2, particle 1"):
+        PotentialMatrix.adopt(values, columns)
+
+
+def test_tied_matrix_validation():
+    values = np.zeros((3, 2))
+    matrix = PotentialMatrix(values, [1, 0, 0, 1])  # fewer columns than factors is fine
+    assert (matrix.n_factors, matrix.n_particles) == (3, 4)
+    unsigned = PotentialMatrix(values, np.array([1, 0, 0, 1], dtype=np.uint64))
+    assert np.array_equal(unsigned.expanded(), matrix.expanded())
+    with pytest.raises(ValueError):
+        matrix.columns[0] = 0
+    with pytest.raises(DimensionError):
+        PotentialMatrix(values, [1, 0])  # fewer particles than factors
+    for columns in ([0, 0, 0, 0], [0, 1, 2, 1], [-1, 0, 1, 1], [[0, 1, 0]], [0.0, 1.0, 0.0]):
+        with pytest.raises(DimensionError):
+            PotentialMatrix(values, columns)
+    with pytest.raises(DimensionError, match="onto all 3 columns"):
+        PotentialMatrix(np.zeros((3, 3)), [0, 2, 2, 0])  # column 1 has no particle
+
+
 # ---------------------------------------------------------------- averaging
 
 
@@ -390,6 +502,16 @@ def test_recycle_top_uniform_picks_stay_out_of_padding(n_particles):
         for p in range(n_particles)
     )
     assert estimate.log_value == pytest.approx(expected, rel=1e-12)
+
+
+def test_batch_recycle_rejects_nan_and_inf():
+    tensor = np.zeros((2, 2, 3))
+    tensor[1, 0, 2] = math.inf
+    with pytest.raises(PotentialValueError, match="inf at replicate 1, factor 0, particle 2"):
+        recycle_log_estimates_batch(tensor, make_stream(6))
+    tensor[0, 1, 1] = math.nan
+    with pytest.raises(PotentialValueError, match="nan at replicate 0, factor 1, particle 1"):
+        recycle_log_estimates_batch(tensor, make_stream(6))
 
 
 def test_batch_recycle_matches_exact_moments():
