@@ -16,8 +16,9 @@ the ``--seed``, ``--out``, ``--replicates`` and ``--estimator`` flags
 override the corresponding keys.  Observation files hold one finite value
 per line.  Every output file starts with a header line naming the tool
 version and master seed, floats are written with 17 significant digits,
-and a failed run removes whatever partial outputs it created.  Exit code
-2 flags configuration or validation problems.
+and a failed run removes whatever outputs it created.  Each file is
+written to a temporary name and renamed into place when complete.  Exit
+code 2 flags configuration or validation problems.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -191,38 +193,52 @@ def load_observations(path: Path) -> np.ndarray:
 
 
 class Workspace:
-    """Output directory with tracked files so failures can clean up."""
+    """Output directory with tracked files so failures can clean up.
+
+    Each file is written under a temporary name in the output directory
+    and renamed into place once complete, so no file under its final name
+    is ever partial.  ``discard`` removes the finished files and any
+    temporary file a failed write left behind.
+    """
 
     def __init__(self, out_dir: Path, seed: int):
         self.out_dir = Path(out_dir)
         self.seed = seed
         self.written: list[Path] = []
 
-    def _open(self, name: str):
+    def _write(self, name: str, fill) -> Path:
+        """Write ``name`` by calling ``fill(handle)`` on a temporary file, then rename it."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
+        partial = self.out_dir / f".{name}.{os.getpid()}.tmp"
+        self.written.append(partial)
+        with partial.open("w") as handle:
+            fill(handle)
+        os.replace(partial, path)
         self.written.append(path)
         return path
 
     def write_csv(self, name: str, columns, rows) -> Path:
-        path = self._open(name)
-        with path.open("w") as handle:
+        def fill(handle):
             handle.write(f"# prodest {__version__} seed={self.seed}\n")
             handle.write(",".join(columns) + "\n")
             for row in rows:
                 handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
-        return path
+
+        return self._write(name, fill)
 
     def write_json(self, name: str, payload: dict) -> Path:
-        path = self._open(name)
         body = {"tool": f"prodest {__version__}", "master_seed": self.seed}
         body.update(payload)
-        with path.open("w") as handle:
+
+        def fill(handle):
             json.dump(_jsonable(body), handle, indent=2)
             handle.write("\n")
-        return path
+
+        return self._write(name, fill)
 
     def discard(self) -> None:
+        # A renamed temporary file is already gone; missing_ok covers it.
         for path in self.written:
             path.unlink(missing_ok=True)
         self.written.clear()

@@ -18,8 +18,10 @@ Estimators
     each factor sees every particle.
 ``estimate_perm_exact``
     Averages the product over every ordered selection of distinct columns,
-    one per factor (a rescaled matrix permanent).  Unbiased; exact
-    enumeration, so only feasible for small problems.
+    one per factor (a rescaled matrix permanent).  Unbiased; computed
+    exactly by a dynamic program over factor subsets at cost
+    O(n_particles * 2**n_factors * n_factors), so feasible up to about
+    n_factors = 14.
 ``estimate_recycle``
     Sequential selection scheme that matches ``estimate_perm_exact`` in
     conditional expectation at the cost of n_factors passes: factor p is
@@ -46,17 +48,30 @@ buffer and zeroes the retired particles; the re-shift takes the maximum
 over the columns that still have an available particle.  ``exp`` is
 elementwise, so the buffer holds the same numbers as for the expanded
 matrix and the selections, uniforms and log value are bit-identical.
+
+Permanent dynamic program
+-------------------------
+``estimate_perm_exact`` walks the particles (columns of the expanded
+matrix) in order and keeps, for every subset S of factors, the log of the
+sum over injective assignments of S to the columns seen so far.  Column j
+either stays unassigned or takes one factor p of S::
+
+    f[S] <- logsumexp(f[S], f[S - {p}] + log_values[p, j] for p in S)
+
+starting from f[{}] = 0 and f[S] = -inf otherwise.  The estimate is
+f[all factors] - log(n_particles! / (n_particles - n_factors)!).  The
+``max_terms`` cap counts the n_particles * 2**n_factors * n_factors
+updates.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .logspace import RunningLogSum, exp_or_inf, masked_log_sum_exp
+from .logspace import exp_or_inf, masked_log_sum_exp
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -73,7 +88,8 @@ __all__ = [
     "recycle_log_estimates_batch",
 ]
 
-# Ceiling on exactly enumerated terms; callers may raise it explicitly.
+# Ceiling on the work of an exact computation (terms enumerated, or
+# updates of the permanent dynamic program); callers may raise it explicitly.
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # Columns per block of the recycle kernel's two-level search.
@@ -84,13 +100,17 @@ _SEARCH_BLOCK = 64
 # the recycle kernel re-shifts over the available columns.
 _MIN_WEIGHT_TOTAL = math.exp(-600.0)
 
+# Most negative finite double: the permanent DP shifts by it where every
+# term is -inf, since shifting by -inf would give NaN.
+_LOWEST = np.finfo(float).min
+
 
 class DimensionError(ValueError):
     """Input shapes are incompatible with the requested estimator."""
 
 
 class EnumerationLimitError(RuntimeError):
-    """An exact enumeration would exceed the configured term budget."""
+    """An exact computation would exceed the configured work budget."""
 
 
 class PotentialValueError(ValueError):
@@ -481,26 +501,42 @@ def estimate_perm_exact(
 ) -> LogEstimate:
     """Average the factor product over all ordered selections of distinct columns.
 
-    Enumerates every injective assignment of factors to columns, i.e.
-    n_particles! / (n_particles - n_factors)! terms, which is a rescaled
-    permanent of the potential matrix.  Raises ``EnumerationLimitError``
-    when that count exceeds ``max_terms``.
+    The average runs over every injective assignment of factors to
+    columns, n_particles! / (n_particles - n_factors)! terms: a rescaled
+    permanent of the potential matrix.  It is computed exactly in log
+    space by the dynamic program over factor subsets described under
+    "Permanent dynamic program" in the module docstring, in
+    n_particles * 2**n_factors * n_factors updates.  Raises
+    ``EnumerationLimitError`` when that count exceeds ``max_terms``.
     """
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
-    n_terms = math.perm(n_particles, n_factors)
-    if n_terms > max_terms:
+    n_sets = 1 << n_factors
+    n_updates = n_particles * n_sets * n_factors
+    if n_updates > max_terms:
         raise EnumerationLimitError(
-            f"enumeration infeasible: {n_terms} ordered selections exceed "
-            f"the cap of {max_terms}"
+            f"permanent infeasible: {n_updates} subset updates "
+            f"(n_particles * 2**n_factors * n_factors) exceed the cap of {max_terms}"
         )
-    lv = matrix.expanded()
-    rows = np.arange(n_factors)
-    accumulator = RunningLogSum()
-    selections = itertools.permutations(range(n_particles), n_factors)
-    while True:
-        chunk = list(itertools.islice(selections, 65536))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.intp)
-        accumulator.add(lv[rows, idx].sum(axis=1))
-    return LogEstimate(accumulator.log_total - math.log(n_terms))
+    # Every (factor p, subset S containing p) pair, and S without p.
+    factor, subset = np.nonzero((np.arange(n_sets) >> np.arange(n_factors)[:, None]) & 1)
+    smaller = subset ^ (1 << factor)
+    # terms[0] holds f; terms[p + 1, S] the candidate f[S - {p}] + log_values[p, j],
+    # and stays -inf where p is not in S.
+    terms = np.full((n_factors + 1, n_sets), -np.inf)
+    landing = n_sets * (factor + 1) + subset
+    flat_terms = terms.reshape(-1)
+    weights = np.empty_like(terms)
+    log_sums = terms[0]
+    log_sums[0] = 0.0
+    for column in matrix.expanded().T:
+        flat_terms[landing] = log_sums[smaller] + column[factor]
+        top = terms.max(axis=0)
+        np.subtract(terms, np.maximum(top, _LOWEST), out=weights)
+        np.exp(weights, out=weights)
+        total = weights.sum(axis=0)
+        # A finite ``top`` contributes exp(0) = 1, so this only turns the
+        # zero total of an all -inf subset into log(1) = 0 and keeps it -inf.
+        np.maximum(total, 1.0, out=total)
+        np.log(total, out=total)
+        np.add(top, total, out=log_sums)
+    return LogEstimate(log_sums[-1] - math.log(math.perm(n_particles, n_factors)))

@@ -9,13 +9,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "exp_or_inf",
     "log_mean_exp",
     "masked_log_sum_exp",
-    "RunningLogSum",
 ]
 
 
@@ -27,14 +25,32 @@ def exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-def log_mean_exp(log_values, axis=None) -> float | np.ndarray:
+def _logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))) over a 1-d float array.
+
+    Follows the formula of ``scipy.special.logsumexp`` (scipy 1.17) and
+    matches it bit for bit: the m entries equal to the maximum ``a_max``
+    are kept out of the sum, and with s the sum of exp(a - a_max) over the
+    others the result is log1p(s / m) + log(m) + a_max.  A maximum of
+    -inf (every term zero), +inf or NaN is the result itself.
+    """
+    a_max = values.max()
+    if not np.isfinite(a_max):
+        return float(a_max)
+    ties = values == a_max
+    count = np.float64(np.count_nonzero(ties))
+    shifted = values - a_max
+    shifted[ties] = -np.inf
+    rest = np.exp(shifted).sum()
+    return float(np.log1p(rest / count) + np.log(count) + a_max)
+
+
+def log_mean_exp(log_values) -> float:
     """log of the arithmetic mean of exp(log_values), max-shifted."""
-    log_values = np.asarray(log_values, dtype=float)
+    log_values = np.asarray(log_values, dtype=float).reshape(-1)
     if log_values.size == 0:
         raise ValueError("log_mean_exp of an empty array")
-    count = log_values.size if axis is None else log_values.shape[axis]
-    out = logsumexp(log_values, axis=axis) - np.log(count)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(_logsumexp(log_values) - np.log(log_values.size))
 
 
 def masked_log_sum_exp(log_values: np.ndarray, mask: np.ndarray) -> float:
@@ -51,26 +67,3 @@ def masked_log_sum_exp(log_values: np.ndarray, mask: np.ndarray) -> float:
     if shift == -np.inf:
         return -np.inf
     return float(shift + np.log(np.exp(selected - shift).sum()))
-
-
-class RunningLogSum:
-    """Streaming log-sum-exp accumulator.
-
-    Absorbs scalar or array log terms chunk by chunk without storing
-    them, so exact enumerations can stream millions of terms through a
-    constant-memory max-shifted sum.  Starts at log(0) = -inf.
-    """
-
-    def __init__(self) -> None:
-        self._log_total = -np.inf
-
-    def add(self, log_terms) -> None:
-        log_terms = np.asarray(log_terms, dtype=float)
-        if log_terms.size == 0:
-            return
-        chunk = logsumexp(log_terms) if log_terms.size > 1 else float(log_terms.reshape(-1)[0])
-        self._log_total = float(np.logaddexp(self._log_total, chunk))
-
-    @property
-    def log_total(self) -> float:
-        return self._log_total

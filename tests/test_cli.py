@@ -82,6 +82,44 @@ def test_workspace_discard(tmp_path):
     assert not written.exists()
 
 
+def test_workspace_failed_write_leaves_nothing(tmp_path):
+    out = tmp_path / "out"
+    workspace = Workspace(out, 1)
+    workspace.write_csv("done.csv", ("x",), [(1,)])
+
+    def rows():
+        yield (1.5,)
+        raise RuntimeError("mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        workspace.write_csv("a.csv", ("x",), rows())
+    # The failed write left its temporary file, not a partial a.csv.
+    leftover = [path.name for path in out.iterdir() if path.name != "done.csv"]
+    assert len(leftover) == 1 and leftover[0].endswith(".tmp")
+    workspace.discard()
+    assert not list(out.iterdir())
+
+
+def test_failed_write_during_run_leaves_no_outputs(tmp_path, monkeypatch):
+    import prodest.cli as cli
+
+    format_cell = cli._format_cell
+    calls = []
+
+    def fail_on_fifth_cell(cell):
+        calls.append(cell)
+        if len(calls) == 5:
+            raise ZeroDivisionError("mid-write")
+        return format_cell(cell)
+
+    monkeypatch.setattr(cli, "_format_cell", fail_on_fifth_cell)
+    config = write_config(tmp_path, "fixture = d1\nestimator = recycle\nn_particles = 2\n")
+    out = tmp_path / "results"
+    with pytest.raises(ZeroDivisionError, match="mid-write"):
+        run(["estimate", "--config", config, "--out", out, "--replicates", 8])
+    assert out.is_dir() and not list(out.iterdir())
+
+
 # -------------------------------------------------------------- estimate run
 
 

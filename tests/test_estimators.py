@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -436,9 +437,12 @@ def test_perm_matches_manual_enumeration():
 
 
 def test_perm_term_cap():
+    # The cap counts subset updates, n_particles * 2**n_factors * n_factors.
     matrix = PotentialMatrix(np.zeros((3, 6)))
-    with pytest.raises(EnumerationLimitError):
-        estimate_perm_exact(matrix, max_terms=10)
+    updates = 6 * 2**3 * 3
+    assert estimate_perm_exact(matrix, max_terms=updates).log_value == 0.0
+    with pytest.raises(EnumerationLimitError, match=f"{updates} subset updates"):
+        estimate_perm_exact(matrix, max_terms=updates - 1)
 
 
 def test_perm_equals_average_of_permuted_simple():
@@ -453,6 +457,66 @@ def test_perm_equals_average_of_permuted_simple():
     ]
     direct = math.log(np.mean(np.exp(logs)))
     assert estimate_perm_exact(matrix).log_value == pytest.approx(direct, rel=1e-12)
+
+
+def _perm_by_enumeration(log_values):
+    """log of the mean factor product over all injective assignments, term by term."""
+    n_factors, n_particles = log_values.shape
+    terms = np.array([
+        sum(log_values[p, column] for p, column in enumerate(selection))
+        for selection in itertools.permutations(range(n_particles), n_factors)
+    ])
+    top = terms.max()
+    if top == NEG_INF:
+        return NEG_INF
+    return top + math.log(np.exp(terms - top).sum()) - math.log(terms.size)
+
+
+@st.composite
+def offset_log_matrices(draw):
+    """Small log matrices with -inf entries and rows and columns shifted by ±800 nats."""
+    n_factors = draw(st.integers(1, 4))
+    n_particles = draw(st.integers(n_factors, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n_factors, n_particles))
+    values[rng.random(values.shape) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = NEG_INF
+    values += rng.choice([-800.0, 0.0, 800.0], size=(n_factors, 1))
+    values += rng.choice([0.0, 800.0], size=(1, n_particles))
+    return values
+
+
+@given(offset_log_matrices())
+@settings(max_examples=200, deadline=None)
+def test_perm_dynamic_program_matches_enumeration(values):
+    expected = _perm_by_enumeration(values)
+    got = estimate_perm_exact(PotentialMatrix(values)).log_value
+    if expected == NEG_INF:
+        assert got == NEG_INF
+    else:
+        # Log-space rounding scales with the size of the entries (up to 1,600
+        # nats here), not with a result that may cancel to near zero.
+        scale = np.abs(values[np.isfinite(values)]).max()
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_perm_all_zero_row_is_zero_without_warnings():
+    values = np.zeros((3, 5))
+    values[1] = NEG_INF
+    with np.errstate(all="raise"):
+        estimate = estimate_perm_exact(PotentialMatrix(values))
+    assert estimate.log_value == NEG_INF
+
+
+def test_perm_ten_factors_forty_particles():
+    # 40! / 30! = 3.1e15 ordered selections; 409,600 subset updates.
+    values = np.log(np.random.default_rng(12).random((10, 40)))
+    started = time.perf_counter()
+    estimate = estimate_perm_exact(PotentialMatrix(values))
+    assert time.perf_counter() - started < 1.0
+    assert math.isfinite(estimate.log_value)
+    # Every entry lies in (0, 1), so the average does too.
+    assert estimate.log_value < 0.0
 
 
 # -------------------------------------------------------------- batch draws

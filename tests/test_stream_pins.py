@@ -4,7 +4,10 @@ A speed-up must leave every stream as it was: the same selections, the
 same random draws and the same log values.  Each case draws 20 estimates
 from one seeded generator and compares the log values and the
 generator's final position exactly with values recorded when every
-estimator still read the full (n_obs, n_particles) potential matrix.
+estimator still read the full (n_obs, n_particles) potential matrix.  The
+one exception is the ``perm`` stream, re-recorded when the permanent moved
+from enumeration to a dynamic program; its enumerated values are kept in
+``ENUMERATED_PERM`` and must agree to 1e-14.
 Poisson-Beta, two-state and fixture latents are integers, so these
 streams run on the compressed matrix; g-and-k latents are floats.
 """
@@ -99,11 +102,11 @@ PINS = {
     ),
     ('two-state', 'perm'): (
         [
-            -3.0602707946915624, -2.7374974024285104, -2.7374974024285104, -3.0602707946915624,
-            -2.7374974024285104, -2.7374974024285104, -2.85635860530524, -2.7374974024285104,
-            -2.6986083092417905, -2.6986083092417905, -2.7374974024285104, -2.85635860530524,
-            -2.6986083092417905, -2.85635860530524, -2.7374974024285104, -2.6986083092417905,
-            -3.0602707946915624, -2.6986083092417905, -2.6986083092417905, -3.0602707946915624,
+            -3.0602707946915615, -2.7374974024285113, -2.7374974024285113, -3.0602707946915615,
+            -2.7374974024285113, -2.7374974024285113, -2.85635860530524, -2.7374974024285113,
+            -2.6986083092417905, -2.6986083092417905, -2.7374974024285113, -2.85635860530524,
+            -2.6986083092417905, -2.85635860530524, -2.7374974024285113, -2.6986083092417905,
+            -3.0602707946915615, -2.6986083092417905, -2.6986083092417905, -3.0602707946915615,
         ],
         ([40, 0, 0, 0], 4, 0, 0),
     ),
@@ -139,6 +142,16 @@ PINS = {
     ),
 }
 
+# The ('two-state', 'perm') values as the enumeration of all 1,680 ordered
+# selections gave them, before the subset dynamic program replaced it.
+ENUMERATED_PERM = [
+    -3.0602707946915624, -2.7374974024285104, -2.7374974024285104, -3.0602707946915624,
+    -2.7374974024285104, -2.7374974024285104, -2.85635860530524, -2.7374974024285104,
+    -2.6986083092417905, -2.6986083092417905, -2.7374974024285104, -2.85635860530524,
+    -2.6986083092417905, -2.85635860530524, -2.7374974024285104, -2.6986083092417905,
+    -3.0602707946915624, -2.6986083092417905, -2.6986083092417905, -3.0602707946915624,
+]
+
 
 @pytest.mark.parametrize("case", sorted(CASES), ids="-".join)
 def test_log_likelihood_stream_pin(case):
@@ -157,3 +170,9 @@ def test_log_likelihood_stream_pin(case):
     expected_values, expected_position = PINS[case]
     assert log_values == expected_values
     assert position == expected_position
+
+
+def test_perm_pin_agrees_with_enumeration():
+    # The two computations round differently, by a few ulps of the log value.
+    pinned = PINS[("two-state", "perm")][0]
+    assert pinned == pytest.approx(ENUMERATED_PERM, rel=1e-14)
