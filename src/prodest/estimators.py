@@ -30,24 +30,32 @@ Estimators
 
 Recycle kernel
 --------------
-Each step makes one pass over a full row, shifted by the row maximum
-(computed once for the whole matrix): the shifted row is written into a
-reused buffer, retired columns are set to ``-inf`` and the buffer is
-exponentiated in place.  The buffer is zero-padded to whole blocks of
-``_SEARCH_BLOCK`` columns, so the draw is a two-level search: a running
-sum over the block totals finds the block, and a running sum inside that
-one block finds the column.  When the row maximum is already retired and
-the available columns sit hundreds of nats below it, their shifted
-weights would underflow; below ``_MIN_WEIGHT_TOTAL`` the step re-shifts by
-the maximum over the available columns instead.
+``estimate_recycle`` works on the columns of ``PotentialMatrix.log_values``
+and keeps ``live[c]``, the number of column c's particles not yet
+selected: all ones for a full matrix, the particle counts of a compressed
+one (see ``PotentialMatrix``).  Step p makes one pass over row p, shifted
+by the row maximum (computed once for the whole matrix): the shifted row
+is written into a reused buffer, exponentiated in place and multiplied by
+``live``, so column c weighs ``exp(log_values[p, c] - shift) * live[c]``
+and fully retired columns weigh zero.  The buffer is zero-padded to whole
+blocks of ``_SEARCH_BLOCK`` columns, so drawing a column is a two-level
+search: a running sum over the block totals finds the block, and a
+running sum inside that one block finds the column.  What the uniform
+target leaves past the start of that column is uniform over its weight;
+scaled by ``live[c]`` it gives the rank of the particle taken among the
+column's live ones, so each step still draws one uniform.  The (column,
+rank) picks become particle indices once, at the end, from the particles
+of the picked columns only.  A step therefore costs O(n_columns), the
+number of distinct latent values of a compressed matrix.
 
-A matrix with ``columns`` (tied particles, see ``PotentialMatrix``) stores
-one column per distinct latent value.  Each step then shifts and
-exponentiates that K-long row, gathers it into the same particle-ordered
-buffer and zeroes the retired particles; the re-shift takes the maximum
-over the columns that still have an available particle.  ``exp`` is
-elementwise, so the buffer holds the same numbers as for the expanded
-matrix and the selections, uniforms and log value are bit-identical.
+When the row maximum is already retired and the live columns sit hundreds
+of nats below it, their shifted weights would underflow; below
+``_MIN_WEIGHT_TOTAL`` the step re-shifts by the maximum over the live
+columns instead, with the retired ones masked to ``-inf`` so that their
+exp cannot overflow.  In a full matrix every column is one particle, so
+``live`` is 0 or 1 and the rank is always 0.  A compressed matrix gives
+the estimate and the selected particles the same law as its expanded
+matrix, but not the same fixed-seed stream.
 
 Permanent dynamic program
 -------------------------
@@ -66,12 +74,13 @@ updates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .logspace import exp_or_inf, masked_log_sum_exp
+from .logspace import exp_or_inf
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -192,7 +201,12 @@ class PotentialMatrix:
     column, and n_particles is ``len(columns)``.  The matrix it stands for
     is ``log_values[:, columns]``, which ``expanded`` returns; the NaN/+inf
     check runs on the compressed values and names a bad entry at its first
-    particle.  ``estimate_recycle`` works on the compressed form directly.
+    particle.  ``estimate_recycle`` works on the compressed form directly:
+    it draws a column by potential times live particle count, then one of
+    its particles, so it has the expanded matrix's law but not its
+    fixed-seed stream.  ``estimate_simple`` and ``estimate_biased`` read
+    the columns particle by particle and give the expanded matrix's
+    values bit for bit; ``estimate_perm_exact`` reads ``expanded()``.
 
     The constructor holds read-only copies, so the caller's arrays may
     change afterwards.  ``PotentialMatrix.adopt`` runs the same checks but
@@ -294,11 +308,12 @@ def estimate_simple(matrix: PotentialMatrix, block_size: int) -> LogEstimate:
             f"simple estimator needs n_particles == n_factors * block_size, "
             f"got {n_particles} != {n_factors} * {block_size}"
         )
-    lv = matrix.expanded()
+    lv, columns = matrix.log_values, matrix.columns
     total = 0.0
     log_block = math.log(block_size)
     for p in range(n_factors):
-        block = lv[p, p * block_size : (p + 1) * block_size]
+        owned = slice(p * block_size, (p + 1) * block_size)
+        block = lv[p, owned] if columns is None else lv[p, columns[owned]]
         shift = block.max()
         if shift == -np.inf:
             return LogEstimate(-np.inf)
@@ -313,38 +328,42 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
     from the target product whenever the same particle enters several
     factors, so this is the (generally biased) reference point.
     """
-    lv = matrix.expanded()
+    lv, columns = matrix.log_values, matrix.columns
     log_n = math.log(matrix.n_particles)
     total = 0.0
     for p in range(matrix.n_factors):
-        row_sum = masked_log_sum_exp(lv[p], np.ones(matrix.n_particles, dtype=bool))
-        if row_sum == -np.inf:
+        row = lv[p] if columns is None else lv[p, columns]
+        shift = row.max()
+        if shift == -np.inf:
             return LogEstimate(-np.inf)
-        total += row_sum - log_n
+        total += float(shift + np.log(np.exp(row - shift).sum())) - log_n
     return LogEstimate(total)
 
 
 def estimate_recycle(
     matrix: PotentialMatrix, rng: np.random.Generator
 ) -> tuple[LogEstimate, SelectionTrace]:
-    """Recycled estimator: sequential averages over not-yet-selected columns.
+    """Recycled estimator: sequential averages over not-yet-selected particles.
 
-    Starting from the full column set, factor p is averaged over the
-    n_particles - p columns still available, the running product is
-    updated, and one column is drawn with probability proportional to
+    Starting from the full particle set, factor p is averaged over the
+    n_particles - p particles still available, the running product is
+    updated, and one particle is drawn with probability proportional to
     factor p's potential among those available, then retired.  When all
     available potentials for a factor vanish the factor average is zero,
     the estimate is zero from that point on, and the selection falls back
-    to a uniform draw over the available columns so the trace is always
+    to a uniform draw over the available particles so the trace is always
     complete.
 
-    Each step costs one pass over the row (see "Recycle kernel" in the
-    module docstring): weights are shifted by the full-row maximum, and
-    by the maximum over the available columns only when the former would
+    Each step costs one pass over a row of ``matrix.log_values``, that is
+    O(n_columns): n_particles for a full matrix, the number of distinct
+    latent values for a compressed one (see "Recycle kernel" in the module
+    docstring).  A column is drawn with probability proportional to its
+    potential times its count of available particles, then one of those
+    particles uniformly, both from the step's single uniform variate.
+    Weights are shifted by the full-row maximum, and by the maximum over
+    the columns with an available particle only when the former would
     leave their total below ``_MIN_WEIGHT_TOTAL``.  The factor average is
-    ``shift + log(total) - log(n_particles - p)``.  A compressed matrix
-    (``columns``) is exponentiated one distinct value at a time and gives
-    the same result, draw for draw, as its expanded form.
+    ``shift + log(total) - log(n_particles - p)``.
 
     Returns the log estimate together with the n_factors selected particle
     indices (columns of the expanded matrix) in order.  The estimator is
@@ -353,98 +372,132 @@ def estimate_recycle(
     """
     lv, columns = matrix.log_values, matrix.columns
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
-    n_blocks = -(-n_particles // _SEARCH_BLOCK)
+    n_columns = lv.shape[1]
+    n_blocks = -(-n_columns // _SEARCH_BLOCK)
     padded = np.zeros(n_blocks * _SEARCH_BLOCK)
-    weights = padded[:n_particles]
+    weights = padded[:n_columns]
     blocks = padded.reshape(n_blocks, _SEARCH_BLOCK)
-    # Exponentiated compressed row; only the tied form uses it.
-    distinct = None if columns is None else np.empty(lv.shape[1])
+    # Available particles per column.
+    live = np.ones(n_columns) if columns is None else np.bincount(columns).astype(float)
     row_max = lv.max(axis=1)
-    available = np.ones(n_particles, dtype=bool)
     log_total = 0.0
     picks: list[int] = []
+    ranks: list[int] = []
     for p in range(n_factors):
         u = rng.random()
         row = lv[p]
         shift = row_max[p]
         total = 0.0
         if shift > -np.inf:
-            block_totals = _exp_weights(row, shift, picks, weights, blocks, columns, distinct)
+            block_totals = _exp_weights(row, shift, live, weights, blocks)
             total = block_totals[-1]
             if total < _MIN_WEIGHT_TOTAL:
                 # The row maximum is retired and the available weights have
-                # underflowed: shift by the maximum over the available columns.
-                live = available
-                if columns is not None:
-                    live = np.bincount(columns[available], minlength=lv.shape[1]) > 0
-                    # Fully retired columns may sit far above the new shift;
-                    # keep them out of the exp so it cannot overflow.
-                    row = np.where(live, row, -np.inf)
-                shift = np.max(row, where=live, initial=-np.inf)
+                # underflowed: shift by the maximum over the live columns.
+                # Retired columns may sit far above it; keep them out of the
+                # exp so it cannot overflow.
+                row = np.where(live > 0.0, row, -np.inf)
+                shift = row.max()
                 if shift > -np.inf:
-                    block_totals = _exp_weights(
-                        row, shift, picks, weights, blocks, columns, distinct
-                    )
+                    block_totals = _exp_weights(row, shift, live, weights, blocks)
                     total = block_totals[-1]
         if total > 0.0:
             log_total += shift + math.log(total) - math.log(n_particles - p)
-            k = _search_blocks(blocks, block_totals, u * total)
+            c, residual = _search_blocks(blocks, block_totals, u * total)
+            # The residual is uniform over column c's weight: it picks one of
+            # the column's live particles uniformly.
+            count = live[c]
+            rank = min(int(residual / weights[c] * count), int(count) - 1)
         else:
             log_total = -np.inf
-            k = int(np.flatnonzero(available)[int(u * (n_particles - p))])
-        picks.append(k)
-        available[k] = False
+            rank = int(u * (n_particles - p))
+            running = np.cumsum(live)
+            c = int(np.searchsorted(running, rank, side="right"))
+            if c:
+                rank -= int(running[c - 1])
+        live[c] -= 1.0
+        picks.append(c)
+        ranks.append(rank)
+    if columns is not None:
+        picks = _particles_of_picks(columns, n_columns, picks, ranks)
     return LogEstimate(log_total), SelectionTrace(tuple(picks))
 
 
 def _exp_weights(
     row: np.ndarray,
     shift: float,
-    picks: list[int],
+    live: np.ndarray,
     weights: np.ndarray,
     blocks: np.ndarray,
-    columns: np.ndarray | None,
-    distinct: np.ndarray | None,
 ) -> np.ndarray:
-    """Fill ``weights`` with exp(row - shift), zero at the retired ``picks``.
+    """Fill ``weights`` with exp(row - shift) * live.
 
-    ``weights`` is the leading part of the zero-padded buffer that
-    ``blocks`` views; returns the running sum over the block totals.  With
-    ``columns``, ``row`` is a compressed row: it is exponentiated into
-    ``distinct`` and gathered into ``weights`` particle by particle.
+    ``row - shift`` must not exceed about 709 where ``live`` is zero, or
+    the exp overflows.  ``weights`` is the leading part of the zero-padded
+    buffer that ``blocks`` views; returns the running sum over the block
+    totals.
     """
-    if columns is None:
-        np.subtract(row, shift, out=weights)
-        weights[picks] = -np.inf
-        np.exp(weights, out=weights)
-    else:
-        np.subtract(row, shift, out=distinct)
-        np.exp(distinct, out=distinct)
-        # ``columns`` is checked to lie in range; "clip" skips the
-        # buffered bounds check of the default mode.
-        np.take(distinct, columns, out=weights, mode="clip")
-        weights[picks] = 0.0
-    return np.cumsum(blocks.sum(axis=1))
+    np.subtract(row, shift, out=weights)
+    np.exp(weights, out=weights)
+    weights *= live
+    return blocks.sum(axis=1).cumsum()
 
 
-def _search_blocks(blocks: np.ndarray, block_totals: np.ndarray, target: float) -> int:
-    """First column whose running weight sum exceeds ``target``.
+def _search_blocks(
+    blocks: np.ndarray, block_totals: np.ndarray, target: float
+) -> tuple[int, float]:
+    """First column whose running weight sum exceeds ``target``, and what is left of it.
 
     ``block_totals`` is the running sum over the rows of ``blocks``, and
     ``target`` lies in [0, block_totals[-1]), so the block found has a
     positive total.  The column found inside it has a positive weight,
-    hence is neither retired nor padding.
+    hence is neither retired nor padding.  The residual is ``target``
+    less the running sum before that column.
     """
-    b = int(np.searchsorted(block_totals, target, side="right"))
+    # ndarray methods, not the np.* wrappers: this runs once per step.
+    b = int(block_totals.searchsorted(target, "right"))
     if b:
         target -= block_totals[b - 1]
     block = blocks[b]
-    j = int(np.searchsorted(np.cumsum(block), target, side="right"))
+    running = block.cumsum()
+    j = int(running.searchsorted(target, "right"))
     if j == block.size:
         # The block total and the running sum inside the block round
         # differently; a target between them falls to the last positive weight.
         j = int(np.flatnonzero(block)[-1])
-    return b * block.size + j
+    if j:
+        target -= running[j - 1]
+    return b * block.size + j, target
+
+
+def _particles_of_picks(
+    columns: np.ndarray, n_columns: int, picks: list[int], ranks: list[int]
+) -> list[int]:
+    """Particle index of each (column, rank) pick of a compressed matrix.
+
+    A pick takes the rank-th, in index order, of its column's particles
+    not picked before.  Only the particles of picked columns are gathered.
+    """
+    n_particles = columns.size
+    chosen = np.zeros(n_columns, dtype=bool)
+    chosen[picks] = True
+    members = np.flatnonzero(chosen[columns])
+    # Sorted (column, particle) keys list each picked column's particles
+    # together, in index order.
+    keys = columns[members] * n_particles + members
+    keys.sort()
+    # Rank among the column's remaining particles -> position among all of them.
+    taken: dict[int, list[int]] = {}
+    positions = []
+    for c, rank in zip(picks, ranks):
+        before = taken.setdefault(c, [])
+        for position in before:
+            if position <= rank:
+                rank += 1
+        bisect.insort(before, rank)
+        positions.append(rank)
+    firsts = np.multiply(picks, n_particles)
+    return (keys[keys.searchsorted(firsts) + positions] - firsts).tolist()
 
 
 def recycle_log_estimates_batch(

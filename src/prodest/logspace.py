@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "exp_or_inf",
     "log_mean_exp",
-    "masked_log_sum_exp",
 ]
 
 
@@ -52,18 +51,3 @@ def log_mean_exp(log_values) -> float:
         raise ValueError("log_mean_exp of an empty array")
     return float(_logsumexp(log_values) - np.log(log_values.size))
 
-
-def masked_log_sum_exp(log_values: np.ndarray, mask: np.ndarray) -> float:
-    """log-sum-exp over the entries of a 1-d array selected by ``mask``.
-
-    Returns ``-inf`` when every selected entry is ``-inf``.  Raises if the
-    mask selects nothing, since an empty sum has no log representation
-    distinct from an all-zero one here.
-    """
-    selected = np.asarray(log_values, dtype=float)[mask]
-    if selected.size == 0:
-        raise ValueError("mask selects no entries")
-    shift = selected.max()
-    if shift == -np.inf:
-        return -np.inf
-    return float(shift + np.log(np.exp(selected - shift).sum()))

@@ -18,10 +18,15 @@ and the MCMC driver:
 
 ``log_likelihood_estimator`` relies on that entry rule: for integer
 latents (Poisson-Beta counts, two-state states, fixture support points)
-it evaluates the potentials once per distinct value and hands the
-estimators a compressed ``PotentialMatrix`` whose ``columns`` map each
-particle to its value's column; float latents (g-and-k) get the full
-matrix.  Both give the same estimates, bit for bit.
+it evaluates the potentials once per distinct value, found by a table
+over the latents' range or by a sort when that range is much wider than
+the particle count.  It hands the estimators a compressed
+``PotentialMatrix`` whose ``columns`` map each particle to its value's
+column; float latents (g-and-k) get the full matrix.  The compressed
+matrix gives the same estimates, bit for bit, for ``simple``, ``biased``
+and ``perm``.  ``recycle`` draws a distinct value first and then one of
+its particles, so its estimates have the same law but its fixed-seed
+streams differ from the full matrix's.
 
 Included models: the g-and-k quantile distribution observed through a
 uniform perturbation (indicator potentials), the Poisson-Beta count
@@ -54,7 +59,6 @@ __all__ = [
     "UniformPrior",
     "ExponentialPrior",
     "PriorSpec",
-    "log_prior",
     "gandk_quantile_transform",
     "gandk_simulate_data",
     "interval_log_potential",
@@ -71,6 +75,10 @@ __all__ = [
 SKEWNESS_SCALE = 0.8
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+# Widest latent range, in multiples of the particle count, that
+# ``_distinct_values`` tabulates instead of sorting.
+_DENSE_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -236,10 +244,6 @@ class PriorSpec:
         return np.array([marginal.sample(rng) for marginal in self.marginals])
 
 
-def log_prior(theta, prior: PriorSpec) -> float:
-    return prior.log_density(theta)
-
-
 class GandKModel:
     """g-and-k latent values observed within a +-half_width window.
 
@@ -393,6 +397,25 @@ def _observation_column(data) -> np.ndarray:
     return data[:, None]
 
 
+def _distinct_values(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(latents, return_inverse=True)`` for 1-d integer latents.
+
+    When the latents span at most ``_DENSE_SPAN`` times their count, a
+    presence table over [min, max] replaces the sort: the values are its
+    set entries and the inverse is its running count, both equal to
+    ``np.unique``'s.
+    """
+    if np.can_cast(latents.dtype, np.intp):
+        low, high = int(latents.min()), int(latents.max())
+        if high - low < _DENSE_SPAN * latents.size:
+            offsets = latents.astype(np.intp, copy=False) - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[offsets] = True
+            values = (np.flatnonzero(present) + low).astype(latents.dtype, copy=False)
+            return values, (present.cumsum() - 1)[offsets]
+    return np.unique(latents, return_inverse=True)
+
+
 ESTIMATOR_KINDS = ("simple", "recycle", "perm", "biased")
 
 
@@ -427,7 +450,7 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
         # checked without the constructor's defensive copy.
         if latents.dtype.kind in "iu":
             # Integer latents repeat: evaluate each distinct value once.
-            values, columns = np.unique(latents, return_inverse=True)
+            values, columns = _distinct_values(latents)
             matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
         else:
             matrix = PotentialMatrix.adopt(log_potential_matrix(latents))

@@ -25,7 +25,7 @@ from prodest.fixtures import (
     log_potential_values,
     sample_support_indices,
 )
-from prodest.oracle import estimator_distribution_exact
+from prodest.oracle import estimator_distribution_exact, recycle_conditional_moments
 from prodest.rng import make_stream
 
 from conftest import random_moment_fixture
@@ -138,6 +138,8 @@ def test_simple_zero_block_gives_zero():
 
 def test_biased_hand_value():
     assert estimate_biased(CROSS).log_value == pytest.approx(math.log(0.25))
+    vanishing = PotentialMatrix(np.array([[0.0, 0.0], [NEG_INF, NEG_INF]]))
+    assert estimate_biased(vanishing).log_value == NEG_INF
 
 
 # ----------------------------------------------------------------- recycled
@@ -314,64 +316,137 @@ def _tied(seed, n_factors, n_particles, n_values, neg_inf_share=0.0):
     return table[:, distinct], columns
 
 
-def _assert_recycle_matches_expanded(log_values, columns, make_rng, n_estimates=20):
-    """The compressed matrix gives the expanded matrix's traces and log values, bit for bit."""
-    tied = PotentialMatrix(log_values, columns)
-    expanded = PotentialMatrix(log_values[:, columns])
-    assert tied.n_particles == expanded.n_particles == columns.size
-    tied_rng, expanded_rng = make_rng(), make_rng()
+class _Uniforms:
+    """Stands in for a generator that returns the given uniforms in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _assert_pick_law(matrix, step, expected, n_cells=10_000):
+    """Over a grid of uniforms for step ``step``, each particle's share is its probability.
+
+    Earlier steps get the uniform 0.5 and must be deterministic.  The
+    particles a step can pick cover contiguous ranges of its uniform, so
+    each share is exact up to one grid cell at either end.
+    """
+    counts = np.zeros(matrix.n_particles)
+    for u in (np.arange(n_cells) + 0.5) / n_cells:
+        _, trace = estimate_recycle(matrix, _Uniforms([0.5] * step + [u] + [0.5] * 10))
+        counts[trace.indices[step]] += 1
+    assert np.abs(counts / n_cells - expected).max() <= 2.0 / n_cells
+
+
+def _assert_recycle_law(log_values, columns, seed, n_estimates=10_000):
+    """Seeded estimates of the compressed matrix have the exact oracle's mean and second moment.
+
+    Returns the log values and traces; each trace must hold distinct
+    particle indices in range.
+    """
+    matrix = PotentialMatrix(log_values, columns)
+    mean, second = recycle_conditional_moments(np.exp(log_values[:, columns]))
+    rng = make_stream(seed, 1)
     results = []
     for _ in range(n_estimates):
-        estimate, trace = estimate_recycle(tied, tied_rng)
-        reference, reference_trace = estimate_recycle(expanded, expanded_rng)
-        assert estimate.log_value == reference.log_value
-        assert trace.indices == reference_trace.indices
+        estimate, trace = estimate_recycle(matrix, rng)
+        assert len(set(trace.indices)) == matrix.n_factors
+        assert all(0 <= i < matrix.n_particles for i in trace.indices)
         results.append((estimate.log_value, trace.indices))
+    _assert_moments(np.exp([log_value for log_value, _ in results]), mean, second)
     return results
 
 
-def test_tied_recycle_matches_expanded_with_zero_potentials():
-    log_values, columns = _tied(31, 8, 300, 40, neg_inf_share=0.3)
-    results = _assert_recycle_matches_expanded(log_values, columns, lambda: make_stream(31, 1))
-    assert any(log_value > NEG_INF for log_value, _ in results)
+def _assert_moments(draws, mean, second):
+    """The draws' mean and second moment lie within 4 SE of the exact ones."""
+    for power, exact in ((1, mean), (2, second)):
+        moment = draws**power
+        se = moment.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(moment.mean() - exact) <= 4 * se
 
 
-def test_tied_recycle_matches_expanded_after_underflow():
-    # Value 0 is particle 5's alone and the only support of factor 0, so
+def test_tied_recycle_law_with_zero_potentials():
+    # Three columns over five particles, with vanishing potentials in
+    # every row.  A particle's first-pick probability is its column's
+    # normalised count-weighted potential divided by the count.
+    columns = np.array([1, 0, 2, 1, 0])
+    log_values = np.array(
+        [[0.3, NEG_INF, -1.2], [NEG_INF, 0.9, 0.1], [-0.4, 0.2, NEG_INF]]
+    )
+    _assert_recycle_law(log_values, columns, 31)
+    weights = np.exp(log_values[0]) * np.bincount(columns)
+    expected = (weights / weights.sum() / np.bincount(columns))[columns]
+    _assert_pick_law(PotentialMatrix(log_values, columns), 0, expected)
+
+
+def test_tied_recycle_law_after_underflow():
+    # Value 0 is particle 1's alone and the only support of factor 0, so
     # step 0 retires its whole column.  It is factor 1's maximum by 800+
     # nats, so step 1 takes the re-shift over the columns still available.
-    rng = np.random.default_rng(32)
-    latents = rng.integers(1, 30, size=200)
-    latents[5] = 0
-    distinct, columns = np.unique(latents, return_inverse=True)
-    log_values = np.full((2, distinct.size), NEG_INF)
-    log_values[0, 0] = 0.0
-    log_values[1] = -800.0 - rng.random(distinct.size)
-    log_values[1, 0] = 0.0
+    columns = np.array([1, 0, 2, 1, 2])
+    log_values = np.array(
+        [[0.0, NEG_INF, NEG_INF], [0.0, -800.3, -800.9], [0.5, -0.7, 0.2]]
+    )
+    # The estimate scales with each row; shifting row 1 by 800 nats
+    # brings the oracle's linear values into range.  Its entry at the
+    # retired column never enters, so any value stands in for it.
+    shifted = log_values.copy()
+    shifted[1] += 800.0
+    shifted[1, 0] = 0.0
+    mean, second = recycle_conditional_moments(np.exp(shifted[:, columns]))
+    matrix = PotentialMatrix(log_values, columns)
+    rng = make_stream(32, 1)
     with np.errstate(over="raise"):
-        results = _assert_recycle_matches_expanded(
-            log_values, columns, lambda: make_stream(32, 1)
-        )
-    for log_value, trace in results:
-        assert trace[0] == 5
-        assert -1000.0 < log_value < -800.0
+        draws = []
+        for _ in range(10_000):
+            estimate, trace = estimate_recycle(matrix, rng)
+            assert trace.indices[0] == 1
+            draws.append(estimate.log_value + 800.0)
+        _assert_moments(np.exp(draws), mean, second)
+        # Step 1 weighs each column by its two live particles; column 0 has none.
+        weights = np.exp(shifted[1]) * [0, 2, 2]
+        expected = (weights / weights.sum() / np.bincount(columns))[columns]
+        _assert_pick_law(matrix, 1, expected)
 
 
-def test_tied_recycle_matches_expanded_on_vanishing_factor():
-    # Factor 2 vanishes on every particle: the estimate is zero and the
-    # step falls back to a uniform pick.
-    log_values, columns = _tied(33, 4, 150, 25, neg_inf_share=0.2)
-    log_values[2] = NEG_INF
-    results = _assert_recycle_matches_expanded(log_values, columns, lambda: make_stream(33, 1))
-    assert all(log_value == NEG_INF and len(trace) == 4 for log_value, trace in results)
+def test_tied_recycle_law_on_vanishing_factor():
+    # Factor 0 vanishes on every particle: the estimate is zero and the
+    # step falls back to a uniform pick over all five particles.
+    columns = np.array([0, 1, 1, 0, 2])
+    log_values = np.array([[NEG_INF] * 3, [0.4, -0.3, 0.0], [0.1, NEG_INF, -2.0]])
+    results = _assert_recycle_law(log_values, columns, 33, n_estimates=2_000)
+    assert all(log_value == NEG_INF for log_value, _ in results)
+    matrix = PotentialMatrix(log_values, columns)
+    _assert_pick_law(matrix, 0, np.full(5, 0.2))
 
 
-@pytest.mark.parametrize("n_particles", [65, 129])
-def test_tied_recycle_matches_expanded_across_padding(n_particles):
-    log_values, columns = _tied(n_particles, 40, n_particles, 17, neg_inf_share=0.1)
-    _assert_recycle_matches_expanded(log_values, columns, lambda: make_stream(34, n_particles))
-    # Every uniform just below 1 draws next to the padding.
-    _assert_recycle_matches_expanded(log_values, columns, _TopUniform, 1)
+@pytest.mark.parametrize("n_columns", [65, 129])
+def test_tied_recycle_law_across_padding(n_columns):
+    # The search buffer is padded with zero weights to a multiple of 64
+    # columns.  With every uniform just below 1, each step takes the last
+    # live column and its last particle, never a padding slot.  Particle
+    # j belongs to column j // 2, so the picks run down the particles.
+    n_particles = 2 * n_columns
+    columns = np.arange(n_particles) // 2
+    rng = np.random.default_rng(n_columns)
+    log_values = rng.normal(size=(n_columns, n_columns))
+    matrix = PotentialMatrix(log_values, columns)
+    estimate, trace = estimate_recycle(matrix, _TopUniform())
+    assert tuple(trace.indices) == tuple(range(n_particles - 1, n_particles - n_columns - 1, -1))
+    expanded = log_values[:, columns]
+    expected = sum(
+        np.logaddexp.reduce(expanded[p, : n_particles - p]) - math.log(n_particles - p)
+        for p in range(n_columns)
+    )
+    assert estimate.log_value == pytest.approx(expected, rel=1e-12)
+    # Seeded streams pick distinct particles in range.
+    stream = make_stream(34, n_columns)
+    for _ in range(20):
+        _, trace = estimate_recycle(matrix, stream)
+        assert len(set(trace.indices)) == n_columns
+        assert all(0 <= i < n_particles for i in trace.indices)
 
 
 def test_tied_matrix_feeds_every_estimator_its_expanded_values():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 import prodest
-from prodest.logspace import _logsumexp, log_mean_exp, masked_log_sum_exp
+from prodest.logspace import _logsumexp, log_mean_exp
 
 
 finite_logs = st.lists(
@@ -32,23 +32,6 @@ def test_log_mean_exp_handles_large_magnitudes():
 
 def test_log_mean_exp_all_zero_terms():
     assert log_mean_exp(np.array([-math.inf, -math.inf])) == -math.inf
-
-
-def test_masked_log_sum_exp_selects_subset():
-    values = np.log(np.array([1.0, 2.0, 4.0, 8.0]))
-    mask = np.array([True, False, True, False])
-    assert masked_log_sum_exp(values, mask) == pytest.approx(math.log(5.0), rel=1e-14)
-
-
-def test_masked_log_sum_exp_all_masked_entries_zero():
-    values = np.array([-math.inf, 0.0, -math.inf])
-    mask = np.array([True, False, True])
-    assert masked_log_sum_exp(values, mask) == -math.inf
-
-
-def test_masked_log_sum_exp_empty_mask_rejected():
-    with pytest.raises(ValueError):
-        masked_log_sum_exp(np.zeros(3), np.zeros(3, dtype=bool))
 
 
 # A few values drawn many times, so the maximum is often tied, plus -inf

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from prodest.estimators import DimensionError
+from prodest import models
+from prodest.estimators import DimensionError, LogEstimate, PotentialMatrix, estimate_simple
 from prodest.models import (
     ExponentialPrior,
     GandKModel,
@@ -19,7 +20,6 @@ from prodest.models import (
     gandk_simulate_data,
     interval_log_potential,
     log_likelihood_estimator,
-    log_prior,
     normal_log_potential,
     sample_poisson_beta,
 )
@@ -110,10 +110,10 @@ def test_gandk_model_pieces():
     assert model.theta_dim == 4
     prior = model.default_prior()
     assert prior.dim == 4
-    assert log_prior(np.array([3.0, 1.0, 2.0, 0.5]), prior) == pytest.approx(
+    assert prior.log_density(np.array([3.0, 1.0, 2.0, 0.5])) == pytest.approx(
         4 * math.log(0.1)
     )
-    assert log_prior(np.array([3.0, -1.0, 2.0, 0.5]), prior) == -math.inf
+    assert prior.log_density(np.array([3.0, -1.0, 2.0, 0.5])) == -math.inf
     data = model.simulate(np.array([3.0, 1.0, 2.0, 0.5]), 5, make_stream(0))
     potentials = model.log_potentials(data)
     assert potentials(np.zeros(7)).shape == (5, 7)
@@ -360,6 +360,72 @@ def test_recycle_estimate_peak_memory_is_one_matrix():
         tracemalloc.stop()
     assert peak < 1.5 * 50 * 6400 * 8
 
+
+
+def test_simple_estimate_reads_the_compressed_matrix():
+    # Poisson-Beta latents at n = 50, N = 204,800 take about 400 distinct
+    # values.  Building the potential matrix from them and running the
+    # simple estimator must not expand it to (n_obs, n_particles), which
+    # would take 82 MB.
+    model = PoissonBetaModel(sigma=5.0)
+    theta = np.array([500.0, 2.0, 8.0])
+    data = model.simulate(theta, 50, make_stream(33))
+    n_particles = 204_800
+    latents = model.sample_latent(theta, make_stream(34), size=n_particles)
+    values, columns = np.unique(latents, return_inverse=True)
+    log_potential_matrix = model.log_potentials(data)
+    tracemalloc.start()
+    try:
+        matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
+        estimate_simple(matrix, n_particles // 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_particles * 8 + 50 * values.size * 8
+
+
+class _FixedLatents:
+    """Integer latents given in advance; records the values its potentials are evaluated on."""
+
+    def __init__(self, latents):
+        self.latents = latents
+        self.evaluated = []
+
+    def sample_latent(self, theta, rng, size=None):
+        return self.latents
+
+    def log_potentials(self, data):
+        def matrix(values):
+            self.evaluated.append(values)
+            return np.zeros((len(data), values.size))
+
+        return matrix
+
+
+@pytest.mark.parametrize(
+    "latents",
+    [
+        np.random.default_rng(40).integers(-30, 5, size=200),
+        np.full(50, -7),
+        np.random.default_rng(41).integers(-(10**12), 10**12, size=100),
+        np.random.default_rng(42).integers(-128, 128, size=300).astype(np.int8),
+        np.random.default_rng(43).integers(0, 2**63, size=100, dtype=np.uint64) * 2,
+    ],
+    ids=["negative", "single-valued", "wide-range", "int8", "uint64"],
+)
+def test_estimator_tabulates_distinct_latents_like_unique(latents, monkeypatch):
+    # The closure evaluates the potentials on the distinct values and
+    # maps each particle to its value's column: both exactly as np.unique.
+    seen = []
+    monkeypatch.setattr(
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+    )
+    model = _FixedLatents(latents)
+    log_likelihood_estimator(model, np.zeros(3), "biased", latents.size)(None, None)
+    values, columns = np.unique(latents, return_inverse=True)
+    (evaluated,) = model.evaluated
+    assert evaluated.dtype == values.dtype and np.array_equal(evaluated, values)
+    assert np.array_equal(seen[0].columns, columns)
 
 @pytest.mark.parametrize("kind", ["simple", "recycle", "perm"])
 def test_log_likelihood_estimator_unbiased_on_two_state(kind):
