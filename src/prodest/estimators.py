@@ -30,32 +30,49 @@ Estimators
 
 Recycle kernel
 --------------
-``estimate_recycle`` works on the columns of ``PotentialMatrix.log_values``
-and keeps ``live[c]``, the number of column c's particles not yet
-selected: all ones for a full matrix, the particle counts of a compressed
-one (see ``PotentialMatrix``).  Step p makes one pass over row p, shifted
-by the row maximum (computed once for the whole matrix): the shifted row
-is written into a reused buffer, exponentiated in place and multiplied by
-``live``, so column c weighs ``exp(log_values[p, c] - shift) * live[c]``
-and fully retired columns weigh zero.  The buffer is zero-padded to whole
-blocks of ``_SEARCH_BLOCK`` columns, so drawing a column is a two-level
-search: a running sum over the block totals finds the block, and a
-running sum inside that one block finds the column.  What the uniform
-target leaves past the start of that column is uniform over its weight;
-scaled by ``live[c]`` it gives the rank of the particle taken among the
-column's live ones, so each step still draws one uniform.  The (column,
-rank) picks become particle indices once, at the end, from the particles
-of the picked columns only.  A step therefore costs O(n_columns), the
-number of distinct latent values of a compressed matrix.
+``estimate_recycle`` works on the columns of ``PotentialMatrix.log_values``:
+one per particle for a full matrix, one per distinct latent value for a
+compressed one, whose ``column_counts`` give each column's particles (see
+``PotentialMatrix``).  A particle of column c weighs
+``exp(log_values[p, c] - shift_p)`` for factor p, with the row shifted by
+its maximum.  The numpy work is done once per estimate, over the whole
+matrix: one exp, one multiplication by the counts and one row-wise
+running sum give ``run[p, c]``, factor p's mass over the particles of the
+columns before c, and the gross mass W_p over all particles.  The
+n_factors uniforms are drawn in one call.
 
-When the row maximum is already retired and the live columns sit hundreds
-of nats below it, their shifted weights would underflow; below
-``_MIN_WEIGHT_TOTAL`` the step re-shifts by the maximum over the live
-columns instead, with the retired ones masked to ``-inf`` so that their
-exp cannot overflow.  In a full matrix every column is one particle, so
-``live`` is 0 or 1 and the rank is always 0.  A compressed matrix gives
-the estimate and the selected particles the same law as its expanded
-matrix, but not the same fixed-seed stream.
+Each factor then gets a *first try*, found for all factors in one
+vectorised pass: the column where ``u_p * W_p`` falls in ``run[p]``, and
+in it the particle whose rank, in index order among all the column's
+particles, is what the target leaves past the column's start divided by
+one particle's weight.  That is a draw from factor p's weights over all
+n_particles, taken particles included.  Walking the factors in order, the
+first try stands when the particles earlier factors took hold at most
+half of the factor's mass (R_p <= W_p / 2) and it is not one of them; the
+factor average is then ``shift_p + log(W_p - R_p) - log(n_particles - p)``
+at O(1) cost.  Otherwise the exact step runs: a running sum over the
+row's weights times the available particles per column, a search for the
+column and a rank among its available particles, O(n_columns).  A first
+try that lands on a taken particle is rejected and the exact step draws a
+fresh uniform; a row that fails the half-mass guard, which depends on the
+earlier picks only, gives the exact step its own ``u_p``.  So each factor
+draws at most one extra uniform, and the law is recycle's::
+
+    P(pick j) = w_j / W + (R / W) * w_j / (W - R) = w_j / (W - R).
+
+The half-mass guard keeps the cancellation in W - R to one bit.  It also
+sends a row whose available particles sit hundreds of nats below a taken
+maximum to the exact step, since the taken particles then hold nearly all
+of W.  When the available particles' shifted mass falls below
+``_MIN_WEIGHT_TOTAL``, that step re-shifts by the maximum over the
+available columns, with the taken ones masked to ``-inf`` so that their
+exp cannot overflow.  R_p is a lower-triangular
+sum over the weights of the first tries' columns, corrected whenever an
+exact step picks another column.  The (column, rank) picks become
+particle indices once, at the end, from the particles of the picked
+columns only.  A compressed matrix gives the estimate and the selected
+particles the same law as its expanded matrix, but not the same
+fixed-seed stream.
 
 Permanent dynamic program
 -------------------------
@@ -76,7 +93,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,16 +118,13 @@ __all__ = [
 # updates of the permanent dynamic program); callers may raise it explicitly.
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
-# Columns per block of the recycle kernel's two-level search.
-_SEARCH_BLOCK = 64
-
 # Below this total the available weights of a full-row shift have lost
 # precision to underflow (about exp(-745) is the smallest subnormal), so
 # the recycle kernel re-shifts over the available columns.
 _MIN_WEIGHT_TOTAL = math.exp(-600.0)
 
-# Most negative finite double: the permanent DP shifts by it where every
-# term is -inf, since shifting by -inf would give NaN.
+# Most negative finite double: the permanent DP and the recycle kernel
+# shift by it where every term is -inf, since shifting by -inf would give NaN.
 _LOWEST = np.finfo(float).min
 
 
@@ -156,13 +170,18 @@ def _check_log_values(values: np.ndarray, columns: np.ndarray | None = None) -> 
 
 def _checked_read_only(
     lv: np.ndarray, columns: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``lv`` and ``columns`` marked read-only; raises unless they form a valid matrix."""
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``lv``, ``columns`` and the particles per column, marked read-only.
+
+    Raises unless ``lv`` and ``columns`` form a valid matrix.  The counts
+    are None for a full matrix.
+    """
     if lv.ndim != 2:
         raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
     n_factors, n_particles = lv.shape
     if n_factors < 1:
         raise DimensionError("need at least one factor")
+    counts = None
     if columns is not None:
         if columns.ndim != 1 or columns.dtype.kind not in "iu":
             raise DimensionError(
@@ -175,14 +194,15 @@ def _checked_read_only(
         if (
             columns.min(initial=0) < 0
             or columns.max(initial=-1) != n_columns - 1
-            or not np.bincount(columns).all()
+            or not (counts := np.bincount(columns)).all()
         ):
             raise DimensionError(f"columns must map the particles onto all {n_columns} columns")
         columns.flags.writeable = False
+        counts.flags.writeable = False
     check_particle_count(n_particles, n_factors)
     _check_log_values(lv, columns)
     lv.flags.writeable = False
-    return lv, columns
+    return lv, columns, counts
 
 
 @dataclass(frozen=True)
@@ -201,10 +221,12 @@ class PotentialMatrix:
     column, and n_particles is ``len(columns)``.  The matrix it stands for
     is ``log_values[:, columns]``, which ``expanded`` returns; the NaN/+inf
     check runs on the compressed values and names a bad entry at its first
-    particle.  ``estimate_recycle`` works on the compressed form directly:
-    it draws a column by potential times live particle count, then one of
-    its particles, so it has the expanded matrix's law but not its
-    fixed-seed stream.  ``estimate_simple`` and ``estimate_biased`` read
+    particle.  The check that every column has a particle counts them;
+    ``column_counts`` keeps that count, read-only, and is None for a full
+    matrix.  ``estimate_recycle`` works on the compressed form directly:
+    it weighs a column by potential times particle count, then takes one
+    of its particles by rank, so it has the expanded matrix's law but not
+    its fixed-seed stream.  ``estimate_simple`` and ``estimate_biased`` read
     the columns particle by particle and give the expanded matrix's
     values bit for bit; ``estimate_perm_exact`` reads ``expanded()``.
 
@@ -217,6 +239,7 @@ class PotentialMatrix:
 
     log_values: np.ndarray
     columns: np.ndarray | None = None
+    column_counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         columns = None if self.columns is None else np.array(self.columns)
@@ -236,9 +259,9 @@ class PotentialMatrix:
         matrix._set(_checked_read_only(np.asarray(log_values, dtype=float), columns))
         return matrix
 
-    def _set(self, checked: tuple[np.ndarray, np.ndarray | None]) -> None:
-        object.__setattr__(self, "log_values", checked[0])
-        object.__setattr__(self, "columns", checked[1])
+    def _set(self, checked: tuple[np.ndarray, np.ndarray | None, np.ndarray | None]) -> None:
+        for name, value in zip(("log_values", "columns", "column_counts"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def n_factors(self) -> int:
@@ -354,120 +377,154 @@ def estimate_recycle(
     to a uniform draw over the available particles so the trace is always
     complete.
 
-    Each step costs one pass over a row of ``matrix.log_values``, that is
-    O(n_columns): n_particles for a full matrix, the number of distinct
-    latent values for a compressed one (see "Recycle kernel" in the module
-    docstring).  A column is drawn with probability proportional to its
-    potential times its count of available particles, then one of those
-    particles uniformly, both from the step's single uniform variate.
-    Weights are shifted by the full-row maximum, and by the maximum over
-    the columns with an available particle only when the former would
-    leave their total below ``_MIN_WEIGHT_TOTAL``.  The factor average is
-    ``shift + log(total) - log(n_particles - p)``.
+    The numpy work runs once per estimate, over the whole of
+    ``matrix.log_values`` (see "Recycle kernel" in the module docstring).
+    It gives every factor a first try: a particle drawn by the factor's
+    potential from all n_particles, which the factor keeps at O(1) cost
+    unless it is already taken.  Only then, or when the taken particles
+    hold more than half of the factor's mass, does the step pass over the
+    row: O(n_columns), where n_columns is n_particles for a full matrix
+    and the number of distinct latent values for a compressed one.  The
+    factor average is ``shift + log(available mass) - log(n_particles -
+    p)``, with the row shifted by its maximum, or by the maximum over the
+    available particles when the former would leave their mass below
+    ``_MIN_WEIGHT_TOTAL``.
 
     Returns the log estimate together with the n_factors selected particle
     indices (columns of the expanded matrix) in order.  The estimator is
     unbiased for the target product and reproducible given (matrix,
-    generator state); it draws exactly one uniform variate per factor.
+    generator state).  It draws n_factors uniform variates in one call,
+    then one more for each first try that lands on a taken particle.
     """
-    lv, columns = matrix.log_values, matrix.columns
+    lv, counts = matrix.log_values, matrix.column_counts
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
     n_columns = lv.shape[1]
-    n_blocks = -(-n_columns // _SEARCH_BLOCK)
-    padded = np.zeros(n_blocks * _SEARCH_BLOCK)
-    weights = padded[:n_columns]
-    blocks = padded.reshape(n_blocks, _SEARCH_BLOCK)
-    # Available particles per column.
-    live = np.ones(n_columns) if columns is None else np.bincount(columns).astype(float)
     row_max = lv.max(axis=1)
-    log_total = 0.0
+    # A row that vanishes everywhere is shifted by the lowest finite double,
+    # which exponentiates it to zeros where -inf - -inf would give NaN.
+    shift = np.maximum(row_max, _LOWEST)
+    # run[p, c]: factor p's mass, exp(log_values - shift) per particle,
+    # over all particles of the columns before c.
+    run = np.empty((n_factors, n_columns + 1))
+    run[:, 0] = 0.0
+    mass = run[:, 1:]
+    np.subtract(lv, shift[:, None], out=mass)
+    np.exp(mass, out=mass)
+    if counts is not None:
+        mass *= counts
+    mass.cumsum(axis=1, out=mass)
+    gross = run[:, -1]
+    uniforms = rng.random(n_factors)
+    targets = uniforms * gross
+    # The first column whose running mass exceeds the target.  For a row
+    # with positive mass the target lies below its total, so the column is
+    # in range and has a positive weight; a vanishing row gets column 0 and
+    # never uses it.
+    first = (mass > targets[:, None]).argmax(axis=1)
+    rows = np.arange(n_factors)
+    residuals = targets - run[rows, first]
+    # unit[p, q]: factor p's weight of one particle of factor q's first column.
+    unit = np.exp(lv[:, first] - shift[:, None])
+    # retired[p]: factor p's mass over the particles that earlier factors
+    # took, if each took its first column; corrected below whenever one
+    # takes another column.
+    retired = unit.sum(axis=1, where=rows[:, None] > rows)
+    first_units = unit.diagonal().tolist()
+    first_counts = [1] * n_factors if counts is None else counts[first].tolist()
+    shifts, gross = row_max.tolist(), gross.tolist()
+    first_columns, uniforms, residuals = first.tolist(), uniforms.tolist(), residuals.tolist()
+    # Available particles per column.
+    live = np.ones(n_columns, dtype=np.intp) if counts is None else counts.copy()
+    # Absolute ranks, in index order, of each column's taken particles.
+    taken: dict[int, list[int]] = {}
     picks: list[int] = []
     ranks: list[int] = []
+    log_total = 0.0
     for p in range(n_factors):
-        u = rng.random()
-        row = lv[p]
-        shift = row_max[p]
-        total = 0.0
-        if shift > -np.inf:
-            block_totals = _exp_weights(row, shift, live, weights, blocks)
-            total = block_totals[-1]
-            if total < _MIN_WEIGHT_TOTAL:
-                # The row maximum is retired and the available weights have
-                # underflowed: shift by the maximum over the live columns.
-                # Retired columns may sit far above it; keep them out of the
-                # exp so it cannot overflow.
-                row = np.where(live > 0.0, row, -np.inf)
-                shift = row.max()
-                if shift > -np.inf:
-                    block_totals = _exp_weights(row, shift, live, weights, blocks)
-                    total = block_totals[-1]
-        if total > 0.0:
-            log_total += shift + math.log(total) - math.log(n_particles - p)
-            c, residual = _search_blocks(blocks, block_totals, u * total)
-            # The residual is uniform over column c's weight: it picks one of
-            # the column's live particles uniformly.
-            count = live[c]
-            rank = min(int(residual / weights[c] * count), int(count) - 1)
-        else:
-            log_total = -np.inf
-            rank = int(u * (n_particles - p))
-            running = np.cumsum(live)
-            c = int(np.searchsorted(running, rank, side="right"))
-            if c:
-                rank -= int(running[c - 1])
-        live[c] -= 1.0
-        picks.append(c)
+        total, lost = gross[p], float(retired[p])
+        c, u = first_columns[p], uniforms[p]
+        # This guard depends on earlier picks only, not on u.  It keeps the
+        # cancellation in total - lost to one bit, and sends a row whose
+        # available mass underflows beside a taken maximum to the exact
+        # step, which re-shifts it.
+        if total > 0.0 and lost + lost <= total:
+            rank = min(int(residuals[p] / first_units[p]), first_counts[p] - 1)
+            column_taken = taken.setdefault(c, [])
+            if rank not in column_taken:
+                log_total += shifts[p] + math.log((total - lost) / (n_particles - p))
+                live[c] -= 1
+                bisect.insort(column_taken, rank)
+                picks.append(c)
+                ranks.append(rank)
+                continue
+            # The first try fell in the taken share of the mass, so the pick
+            # is drawn afresh over the available share.
+            u = rng.random()
+        log_average, picked, rank = _exact_step(lv[p], shifts[p], live, u, n_particles - p)
+        log_total += log_average
+        # Rank among the column's available particles -> among all of them.
+        column_taken = taken.setdefault(picked, [])
+        for position in column_taken:
+            if position <= rank:
+                rank += 1
+        bisect.insort(column_taken, rank)
+        live[picked] -= 1
+        picks.append(picked)
         ranks.append(rank)
-    if columns is not None:
-        picks = _particles_of_picks(columns, n_columns, picks, ranks)
+        if picked != c and p + 1 < n_factors:
+            later = slice(p + 1, n_factors)
+            retired[later] += np.exp(lv[later, picked] - shift[later]) - unit[later, p]
+    if matrix.columns is not None:
+        picks = _particles_of_picks(matrix.columns, n_columns, picks, ranks)
     return LogEstimate(log_total), SelectionTrace(tuple(picks))
 
 
-def _exp_weights(
-    row: np.ndarray,
-    shift: float,
-    live: np.ndarray,
-    weights: np.ndarray,
-    blocks: np.ndarray,
-) -> np.ndarray:
-    """Fill ``weights`` with exp(row - shift) * live.
+def _exact_step(
+    row: np.ndarray, shift: float, live: np.ndarray, u: float, n_available: int
+) -> tuple[float, int, int]:
+    """One recycle step over the available particles, from the uniform ``u``.
 
-    ``row - shift`` must not exceed about 709 where ``live`` is zero, or
-    the exp overflows.  ``weights`` is the leading part of the zero-padded
-    buffer that ``blocks`` views; returns the running sum over the block
-    totals.
+    ``row`` holds one factor's log potentials and ``shift`` its maximum;
+    ``live[c]`` counts column c's available particles, so column c weighs
+    ``exp(row[c] - shift) * live[c]``.  Returns the log factor average, the
+    column drawn and the rank of the particle taken among that column's
+    available ones.
     """
-    np.subtract(row, shift, out=weights)
-    np.exp(weights, out=weights)
-    weights *= live
-    return blocks.sum(axis=1).cumsum()
-
-
-def _search_blocks(
-    blocks: np.ndarray, block_totals: np.ndarray, target: float
-) -> tuple[int, float]:
-    """First column whose running weight sum exceeds ``target``, and what is left of it.
-
-    ``block_totals`` is the running sum over the rows of ``blocks``, and
-    ``target`` lies in [0, block_totals[-1]), so the block found has a
-    positive total.  The column found inside it has a positive weight,
-    hence is neither retired nor padding.  The residual is ``target``
-    less the running sum before that column.
-    """
-    # ndarray methods, not the np.* wrappers: this runs once per step.
-    b = int(block_totals.searchsorted(target, "right"))
-    if b:
-        target -= block_totals[b - 1]
-    block = blocks[b]
-    running = block.cumsum()
-    j = int(running.searchsorted(target, "right"))
-    if j == block.size:
-        # The block total and the running sum inside the block round
-        # differently; a target between them falls to the last positive weight.
-        j = int(np.flatnonzero(block)[-1])
-    if j:
-        target -= running[j - 1]
-    return b * block.size + j, target
+    total = 0.0
+    if shift > -np.inf:
+        weights = np.exp(row - shift)
+        weights *= live
+        running = weights.cumsum()
+        total = running[-1]
+        if total < _MIN_WEIGHT_TOTAL:
+            # The row maximum is taken and the available weights have
+            # underflowed: shift by the maximum over the available columns.
+            # Taken columns may sit far above it; keep them out of the exp so
+            # it cannot overflow.
+            row = np.where(live > 0, row, -np.inf)
+            shift = row.max()
+            if shift > -np.inf:
+                weights = np.exp(row - shift)
+                weights *= live
+                running = weights.cumsum()
+                total = running[-1]
+    if total > 0.0:
+        # u * total lies below the total, so the column found has a positive
+        # weight; the residual is uniform over it and ranks one of its
+        # available particles.
+        target = u * total
+        c = int(running.searchsorted(target, "right"))
+        if c:
+            target -= running[c - 1]
+        count = int(live[c])
+        rank = min(int(target / weights[c] * count), count - 1)
+        return shift + math.log(total) - math.log(n_available), c, rank
+    rank = int(u * n_available)
+    running = live.cumsum()
+    c = int(running.searchsorted(rank, "right"))
+    if c:
+        rank -= int(running[c - 1])
+    return -np.inf, c, rank
 
 
 def _particles_of_picks(
@@ -475,8 +532,8 @@ def _particles_of_picks(
 ) -> list[int]:
     """Particle index of each (column, rank) pick of a compressed matrix.
 
-    A pick takes the rank-th, in index order, of its column's particles
-    not picked before.  Only the particles of picked columns are gathered.
+    A pick takes the rank-th, in index order, of all its column's
+    particles.  Only the particles of picked columns are gathered.
     """
     n_particles = columns.size
     chosen = np.zeros(n_columns, dtype=bool)
@@ -486,18 +543,8 @@ def _particles_of_picks(
     # together, in index order.
     keys = columns[members] * n_particles + members
     keys.sort()
-    # Rank among the column's remaining particles -> position among all of them.
-    taken: dict[int, list[int]] = {}
-    positions = []
-    for c, rank in zip(picks, ranks):
-        before = taken.setdefault(c, [])
-        for position in before:
-            if position <= rank:
-                rank += 1
-        bisect.insort(before, rank)
-        positions.append(rank)
     firsts = np.multiply(picks, n_particles)
-    return (keys[keys.searchsorted(firsts) + positions] - firsts).tolist()
+    return (keys[keys.searchsorted(firsts) + ranks] - firsts).tolist()
 
 
 def recycle_log_estimates_batch(
@@ -506,9 +553,12 @@ def recycle_log_estimates_batch(
     """Recycled estimator over a batch: log_tensor is (n_replicates, n_factors, n_particles).
 
     Returns the (n_replicates,) log estimates.  Distributionally identical
-    to calling ``estimate_recycle`` per replicate (one uniform variate per
-    selection step), but the variates are interleaved across the batch, so
-    the two paths do not reproduce each other draw for draw.
+    to calling ``estimate_recycle`` per replicate, but the two paths do
+    not reproduce each other draw for draw: this one draws one uniform
+    variate per selection step, interleaved across the batch, and searches
+    the available particles with it; ``estimate_recycle`` gives each
+    factor a first try over all particles and draws a fresh variate only
+    when that try lands on a taken particle.
     """
     lt = np.asarray(log_tensor, dtype=float)
     if lt.ndim != 3:

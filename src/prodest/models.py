@@ -24,9 +24,12 @@ the particle count.  It hands the estimators a compressed
 ``PotentialMatrix`` whose ``columns`` map each particle to its value's
 column; float latents (g-and-k) get the full matrix.  The compressed
 matrix gives the same estimates, bit for bit, for ``simple``, ``biased``
-and ``perm``.  ``recycle`` draws a distinct value first and then one of
-its particles, so its estimates have the same law but its fixed-seed
-streams differ from the full matrix's.
+and ``perm``.  ``recycle`` weighs each distinct value by its potential
+times its particle count and takes one of its particles by rank, so its
+estimates have the same law but its fixed-seed streams differ from the
+full matrix's.  Its numpy work is one pass over the whole (n_obs, K)
+matrix per estimate; a factor then costs O(1) unless its first try lands
+on a particle already taken (see "Recycle kernel" in ``estimators``).
 
 Included models: the g-and-k quantile distribution observed through a
 uniform perturbation (indicator potentials), the Poisson-Beta count
@@ -158,11 +161,16 @@ def sample_poisson_beta(params: PoissonBetaParams, rng: np.random.Generator, siz
 
     The Beta variable is formed from two gamma draws so the consumption
     pattern of the generator is fixed; the Poisson draw then uses the
-    generator's standard routine.
+    generator's standard routine.  The Poisson mean ``rate * on / (on +
+    off)`` is formed in place, so a draw holds two float arrays besides
+    its output.
     """
     on = rng.standard_gamma(params.k_on, size=size)
     off = rng.standard_gamma(params.k_off, size=size)
-    return rng.poisson(params.rate * on / (on + off))
+    off += on
+    on *= params.rate
+    on /= off
+    return rng.poisson(on)
 
 
 def normal_log_potential(x, center: float, sigma: float):

@@ -193,7 +193,8 @@ def test_recycle_deterministic_given_stream():
 def test_recycle_golden_pin():
     # Values of the original three-function selection step.  A kernel that
     # keeps the same arithmetic reproduces them; one that does not must say
-    # which fixed-seed streams it moves.
+    # which fixed-seed streams it moves.  The first-try kernel takes the
+    # same particles here, and its log value agrees to the last bits.
     rng = np.random.default_rng(2024)
     values = rng.normal(scale=2.0, size=(5, 40))
     values[rng.random((5, 40)) < 0.4] = NEG_INF
@@ -203,9 +204,10 @@ def test_recycle_golden_pin():
 
 
 def test_recycle_multi_block_golden_pin():
-    # Spans six search blocks, the last one partly padding; column 5 is the
-    # maximum of every row but one, so later steps run with it retired.
-    # Values recorded with the kernel that searched a compacted row.
+    # Column 5 is the maximum of every row but one, so later steps run with
+    # it retired: first tries that land on it draw again, and rows where it
+    # holds more than half the mass take the exact step.  Values recorded
+    # with the kernel that searched a compacted row.
     rng = np.random.default_rng(2025)
     values = rng.normal(scale=3.0, size=(12, 333))
     values[rng.random((12, 333)) < 0.3] = NEG_INF
@@ -317,27 +319,86 @@ def _tied(seed, n_factors, n_particles, n_values, neg_inf_share=0.0):
 
 
 class _Uniforms:
-    """Stands in for a generator that returns the given uniforms in turn."""
+    """Stands in for a generator that returns the given uniforms in turn and counts them."""
 
     def __init__(self, values):
         self._values = iter(values)
+        self.drawn = 0
 
-    def random(self):
-        return next(self._values)
+    def random(self, size=None):
+        if size is None:
+            self.drawn += 1
+            return next(self._values)
+        self.drawn += size
+        return np.array([next(self._values) for _ in range(size)])
 
 
-def _assert_pick_law(matrix, step, expected, n_cells=10_000):
-    """Over a grid of uniforms for step ``step``, each particle's share is its probability.
+def _log_sum(log_values):
+    return np.logaddexp.reduce(log_values) if log_values.size else NEG_INF
 
-    Earlier steps get the uniform 0.5 and must be deterministic.  The
-    particles a step can pick cover contiguous ranges of its uniform, so
-    each share is exact up to one grid cell at either end.
+
+def _assert_pick_law(matrix, step, n_cells=10_000):
+    """Step ``step`` picks each available particle with probability w_j / (W - R).
+
+    w_j is the step's potential at particle j, W its total over all
+    particles and R its total over those the earlier steps took; earlier
+    steps get the uniform 0.5 and must be deterministic.  The matrix is cut
+    after the step, so its draws are the last ones.  Over a grid of first
+    uniforms, each available particle takes w_j / W of the cells and the
+    share R / W that lands on taken particles draws a fresh uniform; a
+    second grid over that uniform gives w_j / (W - R).  When R exceeds W / 2,
+    or the step vanishes on every particle, nothing is drawn afresh and the
+    first grid gives w_j / (W - R), or a uniform pick, directly.  Each
+    particle covers one range of a uniform, so each share is exact up to a
+    cell at either end; the taken particles may cover one range each.
+
+    Returns R / W.
     """
+    before = ()
+    n_fresh = 0  # fresh uniforms the earlier steps draw
+    if step:
+        earlier = PotentialMatrix(matrix.log_values[:step], matrix.columns)
+        probe = _Uniforms([0.5] * (2 * step))
+        before = estimate_recycle(earlier, probe)[1].indices
+        n_fresh = probe.drawn - step
+    log_weights = matrix.expanded()[step]
+    taken = np.zeros(matrix.n_particles, dtype=bool)
+    taken[list(before)] = True
+    available = np.where(taken, NEG_INF, log_weights)
+    if _log_sum(available) == NEG_INF:
+        law = (~taken) / (~taken).sum()
+    else:
+        law = np.exp(available - _log_sum(available))
+    total = _log_sum(log_weights)
+    share = 0.0 if total == NEG_INF else math.exp(_log_sum(log_weights[taken]) - total)
+    redrawn = share if share <= 0.5 else 0.0
+
+    cut = PotentialMatrix(matrix.log_values[: step + 1], matrix.columns)
+    n_drawn = step + 1 + n_fresh
+
+    def pick(first, fresh):
+        uniforms = _Uniforms([0.5] * step + [first] + [0.5] * n_fresh + [fresh])
+        trace = estimate_recycle(cut, uniforms)[1]
+        assert trace.indices[:step] == tuple(before)
+        return trace.indices[step], uniforms.drawn > n_drawn
+
+    grid = (np.arange(n_cells) + 0.5) / n_cells
     counts = np.zeros(matrix.n_particles)
-    for u in (np.arange(n_cells) + 0.5) / n_cells:
-        _, trace = estimate_recycle(matrix, _Uniforms([0.5] * step + [u] + [0.5] * 10))
-        counts[trace.indices[step]] += 1
-    assert np.abs(counts / n_cells - expected).max() <= 2.0 / n_cells
+    fresh_cells = []
+    for u in grid:
+        particle, fresh = pick(u, 0.5)
+        if fresh:
+            fresh_cells.append(u)
+        else:
+            counts[particle] += 1
+    assert np.abs(counts / n_cells - law * (1.0 - redrawn)).max() <= 2.0 / n_cells
+    assert abs(len(fresh_cells) / n_cells - redrawn) <= 2.0 * max(step, 1) / n_cells
+    if fresh_cells:
+        counts = np.zeros(matrix.n_particles)
+        for v in grid:
+            counts[pick(fresh_cells[len(fresh_cells) // 2], v)[0]] += 1
+        assert np.abs(counts / n_cells - law).max() <= 2.0 / n_cells
+    return share
 
 
 def _assert_recycle_law(log_values, columns, seed, n_estimates=10_000):
@@ -369,22 +430,95 @@ def _assert_moments(draws, mean, second):
 
 def test_tied_recycle_law_with_zero_potentials():
     # Three columns over five particles, with vanishing potentials in
-    # every row.  A particle's first-pick probability is its column's
-    # normalised count-weighted potential divided by the count.
+    # every row.  Step 0 has nothing taken, so its first try always stands.
     columns = np.array([1, 0, 2, 1, 0])
     log_values = np.array(
         [[0.3, NEG_INF, -1.2], [NEG_INF, 0.9, 0.1], [-0.4, 0.2, NEG_INF]]
     )
     _assert_recycle_law(log_values, columns, 31)
-    weights = np.exp(log_values[0]) * np.bincount(columns)
-    expected = (weights / weights.sum() / np.bincount(columns))[columns]
-    _assert_pick_law(PotentialMatrix(log_values, columns), 0, expected)
+    matrix = PotentialMatrix(log_values, columns)
+    assert _assert_pick_law(matrix, 0) == 0.0
+    for step in (1, 2):
+        _assert_pick_law(matrix, step)
+
+
+# Particle 0 is column 0's only particle and factor 0's only support, so
+# step 0 always takes it.  Rows 1 give it 40% and 75% of their mass.
+_DOMINANT_COLUMNS = np.array([0, 1, 1, 2, 2])
+_SHARED_MAXIMUM = _log([[1.0, 0.0, 0.0], [4.0, 1.0, 2.0], [0.2, 1.0, 0.7]])
+_DOMINANT_MAXIMUM = _log([[1.0, 0.0, 0.0], [9.0, 0.5, 1.0], [0.2, 1.0, 0.7]])
+
+
+def test_tied_recycle_law_redraws_after_taken_first_try():
+    # Step 1's first try lands on the taken particle 0 in 40% of cases and
+    # then draws a fresh uniform over the other 60% of the mass.
+    _assert_recycle_law(_SHARED_MAXIMUM, _DOMINANT_COLUMNS, 36)
+    matrix = PotentialMatrix(_SHARED_MAXIMUM, _DOMINANT_COLUMNS)
+    assert _assert_pick_law(matrix, 1) == pytest.approx(0.4)
+    _assert_pick_law(matrix, 2)
+
+
+def test_tied_recycle_law_half_mass_guard():
+    # Particle 0 holds 75% of step 1's mass, more than half: the step skips
+    # the first try and draws over the available particles from its own
+    # uniform, drawing nothing afresh.
+    _assert_recycle_law(_DOMINANT_MAXIMUM, _DOMINANT_COLUMNS, 37)
+    matrix = PotentialMatrix(_DOMINANT_MAXIMUM, _DOMINANT_COLUMNS)
+    assert _assert_pick_law(matrix, 1) == pytest.approx(0.75)
+
+
+def _position(rng):
+    """The Philox counter and buffer state of a generator."""
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+class _CountingStream:
+    """Passes draws through to a generator and records how they were asked for."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.blocks = []
+        self.singles = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.singles += 1
+        else:
+            self.blocks.append(size)
+        return self.rng.random(size)
+
+
+def test_recycle_draws_a_block_then_one_uniform_per_redraw():
+    # One call for the n_factors first uniforms, then one uniform for each
+    # first try that lands on a taken particle.  On the Philox streams a
+    # block of n draws equals n single draws, generator position included.
+    block, singles = make_stream(38), make_stream(38)
+    assert block.random(5).tolist() == [singles.random() for _ in range(5)]
+    assert _position(block) == _position(singles)
+    matrix = PotentialMatrix(_SHARED_MAXIMUM, _DOMINANT_COLUMNS)
+    stream = _CountingStream(make_stream(39))
+    for _ in range(200):
+        estimate_recycle(matrix, stream)
+    assert stream.blocks == [3] * 200
+    # Step 1 redraws in 40% of estimates, step 2 in about 25%.
+    assert 100 < stream.singles < 160
+    replay = make_stream(39)
+    for _ in range(3 * 200 + stream.singles):
+        replay.random()
+    assert _position(replay) == _position(stream.rng)
 
 
 def test_tied_recycle_law_after_underflow():
     # Value 0 is particle 1's alone and the only support of factor 0, so
     # step 0 retires its whole column.  It is factor 1's maximum by 800+
-    # nats, so step 1 takes the re-shift over the columns still available.
+    # nats, so step 1 takes the exact step, which re-shifts over the
+    # columns still available.
     columns = np.array([1, 0, 2, 1, 2])
     log_values = np.array(
         [[0.0, NEG_INF, NEG_INF], [0.0, -800.3, -800.9], [0.5, -0.7, 0.2]]
@@ -405,10 +539,7 @@ def test_tied_recycle_law_after_underflow():
             assert trace.indices[0] == 1
             draws.append(estimate.log_value + 800.0)
         _assert_moments(np.exp(draws), mean, second)
-        # Step 1 weighs each column by its two live particles; column 0 has none.
-        weights = np.exp(shifted[1]) * [0, 2, 2]
-        expected = (weights / weights.sum() / np.bincount(columns))[columns]
-        _assert_pick_law(matrix, 1, expected)
+        assert _assert_pick_law(matrix, 1) == 1.0
 
 
 def test_tied_recycle_law_on_vanishing_factor():
@@ -419,15 +550,16 @@ def test_tied_recycle_law_on_vanishing_factor():
     results = _assert_recycle_law(log_values, columns, 33, n_estimates=2_000)
     assert all(log_value == NEG_INF for log_value, _ in results)
     matrix = PotentialMatrix(log_values, columns)
-    _assert_pick_law(matrix, 0, np.full(5, 0.2))
+    assert _assert_pick_law(matrix, 0) == 0.0
 
 
 @pytest.mark.parametrize("n_columns", [65, 129])
 def test_tied_recycle_law_across_padding(n_columns):
-    # The search buffer is padded with zero weights to a multiple of 64
-    # columns.  With every uniform just below 1, each step takes the last
-    # live column and its last particle, never a padding slot.  Particle
-    # j belongs to column j // 2, so the picks run down the particles.
+    # With every uniform just below 1, each first try takes the last
+    # particle of the last column, which is taken after step 0, and each
+    # exact step then takes the last available one: never a particle past
+    # the end or one already taken.  Particle j belongs to column j // 2,
+    # so the picks run down the particles.
     n_particles = 2 * n_columns
     columns = np.arange(n_particles) // 2
     rng = np.random.default_rng(n_columns)
@@ -479,6 +611,11 @@ def test_tied_matrix_validation():
     assert np.array_equal(unsigned.expanded(), matrix.expanded())
     with pytest.raises(ValueError):
         matrix.columns[0] = 0
+    # The particles per column, counted once by the check, are kept read-only.
+    assert matrix.column_counts.tolist() == [2, 2]
+    with pytest.raises(ValueError):
+        matrix.column_counts[0] = 0
+    assert PotentialMatrix(np.zeros((3, 4))).column_counts is None
     with pytest.raises(DimensionError):
         PotentialMatrix(values, [1, 0])  # fewer particles than factors
     for columns in ([0, 0, 0, 0], [0, 1, 2, 1], [-1, 0, 1, 1], [[0, 1, 0]], [0.0, 1.0, 0.0]):
@@ -629,9 +766,8 @@ def test_batch_recycle_top_uniform_stays_in_range():
 
 @pytest.mark.parametrize("n_particles", [65, 129])
 def test_recycle_top_uniform_picks_stay_out_of_padding(n_particles):
-    # The search buffer is padded with zero weights to a multiple of 64
-    # columns.  With every uniform just below 1, each step must take the
-    # last available column, never a padding slot past it.
+    # With every uniform just below 1, each step must take the last
+    # available column, never one past the end or one already taken.
     rng = np.random.default_rng(n_particles)
     values = rng.normal(size=(n_particles, n_particles))
     estimate, trace = estimate_recycle(PotentialMatrix(values), _TopUniform())

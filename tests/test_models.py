@@ -132,6 +132,20 @@ def test_poisson_beta_mean():
     assert abs(draws.mean() - expected) < 3 * se
 
 
+def test_poisson_beta_draw_holds_two_float_arrays():
+    # The Poisson mean is formed in place in the two gamma arrays, so the
+    # draw holds two N-float arrays besides its output, not four.
+    params = PoissonBetaParams(500.0, 2.0, 8.0)
+    n_particles = 204_800
+    tracemalloc.start()
+    try:
+        draws = sample_poisson_beta(params, make_stream(13), size=n_particles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_particles * 8 + draws.nbytes
+
+
 def test_poisson_beta_pmf_goodness_of_fit():
     params = PoissonBetaParams(5.0, 2.0, 8.0)
     draws = sample_poisson_beta(params, make_stream(13), size=20000)
