@@ -18,7 +18,6 @@ from .estimators import (
     estimate_perm_exact,
     estimate_recycle,
     estimate_simple,
-    recycle_log_estimates_batch,
 )
 from .fixtures import FIXTURES, get_fixture
 from .mcmc import (

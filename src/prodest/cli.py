@@ -472,6 +472,8 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     kind = _estimator_kind(settings, extra=("exact",))
     chain_length = settings.get_int("chain_length", 2000)
     pilot_length = settings.get_int("pilot_length", max(chain_length // 10, 200))
+    if pilot_length < 0:
+        raise ConfigError(f"pilot_length must be >= 0, got {pilot_length}")
     pilot_stages = settings.get_int("pilot_stages", 1)
     if pilot_stages < 1:
         raise ConfigError(f"pilot_stages must be >= 1, got {pilot_stages}")
@@ -484,6 +486,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     init = settings.get_str("init", "theta")
     if init not in ("theta", "prior"):
         raise ConfigError(f"init must be 'theta' or 'prior', got {init!r}")
+    proposal = initial_proposal(theta, settings.get_float("rel_step", 0.05))
     prior = model.default_prior()
     started = time.perf_counter()
 
@@ -508,7 +511,6 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             )
 
     theta_init = theta if init == "theta" else None
-    proposal = initial_proposal(theta, settings.get_float("rel_step", 0.05))
     pilot_summary = None
     if pilot_length > 0:
         # Each stage refines the empirical covariance of the previous one;

@@ -111,7 +111,6 @@ __all__ = [
     "estimate_biased",
     "estimate_recycle",
     "estimate_perm_exact",
-    "recycle_log_estimates_batch",
 ]
 
 # Ceiling on the work of an exact computation (terms enumerated, or
@@ -153,19 +152,19 @@ def check_particle_count(
 def _check_log_values(values: np.ndarray, columns: np.ndarray | None = None) -> None:
     """Raise ``PotentialValueError`` at the first NaN or +inf entry.
 
-    The last axis of ``values`` indexes particles, or, with ``columns``,
-    the columns that ``columns`` maps the particles to; the error names the
-    position in the expanded array either way.
+    ``values`` is (n_factors, n_particles), or, with ``columns``,
+    (n_factors, n_columns) with ``columns`` mapping the particles to its
+    columns; the error names the position in the expanded matrix either way.
     """
     # NaN compares false too, so one pass rejects NaN and +inf.
     if (values < np.inf).all():
         return
     if columns is not None:
         values = values[:, columns]
-    position = tuple(np.argwhere(~(values < np.inf))[0])
-    names = ("replicate", "factor", "particle")[-values.ndim :]
-    where = ", ".join(f"{name} {index}" for name, index in zip(names, position))
-    raise PotentialValueError(f"log potential {values[position]} at {where}")
+    factor, particle = np.argwhere(~(values < np.inf))[0]
+    raise PotentialValueError(
+        f"log potential {values[factor, particle]} at factor {factor}, particle {particle}"
+    )
 
 
 def _checked_read_only(
@@ -545,58 +544,6 @@ def _particles_of_picks(
     keys.sort()
     firsts = np.multiply(picks, n_particles)
     return (keys[keys.searchsorted(firsts) + ranks] - firsts).tolist()
-
-
-def recycle_log_estimates_batch(
-    log_tensor: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Recycled estimator over a batch: log_tensor is (n_replicates, n_factors, n_particles).
-
-    Returns the (n_replicates,) log estimates.  Distributionally identical
-    to calling ``estimate_recycle`` per replicate, but the two paths do
-    not reproduce each other draw for draw: this one draws one uniform
-    variate per selection step, interleaved across the batch, and searches
-    the available particles with it; ``estimate_recycle`` gives each
-    factor a first try over all particles and draws a fresh variate only
-    when that try lands on a taken particle.
-    """
-    lt = np.asarray(log_tensor, dtype=float)
-    if lt.ndim != 3:
-        raise DimensionError(f"expected a 3-d tensor, got shape {lt.shape}")
-    _check_log_values(lt)
-    n_replicates, n_factors, n_particles = lt.shape
-    check_particle_count(n_particles, n_factors)
-    available = np.ones((n_replicates, n_particles), dtype=bool)
-    log_total = np.zeros(n_replicates)
-    row_ids = np.arange(n_replicates)
-    for p in range(n_factors):
-        row = lt[:, p, :]
-        masked = np.where(available, row, -np.inf)
-        shift = masked.max(axis=1)
-        finite = shift > -np.inf
-        weights = np.zeros_like(masked)
-        with np.errstate(invalid="ignore"):
-            # Rows whose available potentials all vanish would shift by -inf;
-            # they are masked out of the exp and handled by the uniform branch.
-            np.exp(masked - shift[:, None], out=weights, where=finite[:, None])
-        mass = weights.sum(axis=1)
-        log_avg = np.where(
-            finite, shift + np.log(np.where(finite, mass, 1.0)), -np.inf
-        ) - math.log(n_particles - p)
-        log_total = log_total + log_avg
-
-        u = rng.random(n_replicates)
-        cumulative = np.cumsum(weights, axis=1)
-        # Scale by the sequential total, not the pairwise ``mass``: the two
-        # can differ in the last bits, and a target above cumulative[:, -1]
-        # would pick column n_particles or a retired column.
-        picked = (cumulative <= (u * cumulative[:, -1])[:, None]).sum(axis=1)
-        # Zero-mass rows: uniform over the n_particles - p available columns.
-        rank = np.cumsum(available, axis=1)
-        uniform_pick = (rank <= (u * (n_particles - p)).astype(np.int64)[:, None]).sum(axis=1)
-        picked = np.where(finite, picked, uniform_pick)
-        available[row_ids, picked] = False
-    return log_total
 
 
 def estimate_perm_exact(

@@ -33,8 +33,6 @@ __all__ = [
     "disjoint_indicator_fixture",
     "product_coordinate_fixture",
     "two_state_latent_fixture",
-    "sample_support_indices",
-    "log_potential_values",
     "DiscreteFixtureModel",
 ]
 
@@ -104,21 +102,6 @@ def get_fixture(name: str) -> Fixture:
         raise KeyError(f"unknown fixture {name!r}; known fixtures: {known}") from None
 
 
-def sample_support_indices(
-    measure: DiscreteMeasure,
-    n_particles: int,
-    rng: np.random.Generator,
-    n_replicates: int | None = None,
-) -> np.ndarray:
-    """Draw particle support indices from the measure.
-
-    Returns an (n_particles,) index array, or (n_replicates, n_particles)
-    when a replicate count is given.
-    """
-    size = n_particles if n_replicates is None else (n_replicates, n_particles)
-    return rng.choice(measure.n_points, size=size, p=measure.probs)
-
-
 class DiscreteFixtureModel:
     """A fixed (measure, potentials) pair behind the latent-model interface.
 
@@ -163,21 +146,3 @@ class DiscreteFixtureModel:
         log_values = self._log_values
         return lambda x: log_values[rows[:, None], np.asarray(x, dtype=np.intp)[None, :]]
 
-
-def log_potential_values(
-    potentials: DiscretePotentialSet, indices: np.ndarray
-) -> np.ndarray:
-    """Log potential values at sampled support indices; zeros map to -inf.
-
-    For (n_particles,) indices the result is (n_factors, n_particles); for
-    (n_replicates, n_particles) it is (n_replicates, n_factors, n_particles),
-    ready for the batched estimators.
-    """
-    indices = np.asarray(indices, dtype=np.intp)
-    with np.errstate(divide="ignore"):
-        logs = np.log(potentials.values[:, indices])
-    if indices.ndim == 1:
-        return logs
-    if indices.ndim == 2:
-        return np.moveaxis(logs, 0, 1)
-    raise ValueError(f"indices must be 1-d or 2-d, got shape {indices.shape}")

@@ -298,6 +298,8 @@ def run_chain(config: ChainConfig) -> ChainOutput:
 
 def initial_proposal(theta, rel_step: float = 0.05) -> ProposalSpec:
     """Diagonal pilot proposal scaled to the magnitude of each coordinate."""
+    if not 0.0 < rel_step < math.inf:
+        raise ValueError(f"rel_step must be finite and positive, got {rel_step}")
     theta = np.asarray(theta, dtype=float)
     scales = rel_step * (1.0 + np.abs(theta))
     return ProposalSpec.from_covariance(np.diag(scales**2))
@@ -389,11 +391,17 @@ def tune_particle_count(
     ``n_replicates`` fresh replicates; (count, measurement) pairs are
     appended to ``probes`` when a list is supplied.  Raises
     ``ParticleCountError`` when the next doubling would pass
-    ``max_particles``.
+    ``max_particles``, and ``ValueError`` when the starting count already
+    does.
     """
     if not target > 0:
         raise ValueError(f"target relative variance must be positive, got {target}")
     n_particles = max(int(np.asarray(data).size), 1)
+    if max_particles < n_particles:
+        raise ValueError(
+            f"max_particles {max_particles} is below the starting count of "
+            f"{n_particles} particles, one per observation"
+        )
     while True:
         estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
         measured = relative_variance(

@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from prodest.cli import main as cli_main
-from prodest.fixtures import (
-    get_fixture,
-    log_potential_values,
-    sample_support_indices,
-)
+from prodest.fixtures import DiscreteFixtureModel, get_fixture
 from prodest.mcmc import ess_batch_means
 from prodest.oracle import (
     estimator_distribution_exact,
@@ -35,9 +31,8 @@ from prodest.oracle import (
     second_moment_recycle_exact,
     second_moment_simple_exact,
 )
-from prodest.estimators import PotentialMatrix, estimate_perm_exact
+from prodest.estimators import PotentialMatrix, estimate_perm_exact, estimate_recycle
 from prodest.rng import make_stream
-from prodest.estimators import recycle_log_estimates_batch
 
 from conftest import (
     random_disjoint_fixture,
@@ -244,12 +239,16 @@ def test_06_latent_averaged_identities():
 
 def test_07_monte_carlo_consistency():
     started = time.perf_counter()
-    measure, potentials = get_fixture("d1").build()
+    model = DiscreteFixtureModel(*get_fixture("d1").build())
     stream = make_stream(FUZZ_SEED, 7)
-    indices = sample_support_indices(measure, 2, stream, n_replicates=100_000)
-    logs = recycle_log_estimates_batch(
-        log_potential_values(potentials, indices), stream
-    )
+    latents = model.sample_latent((), stream, size=(100_000, 2))
+    # Every replicate's (factor, particle) log potentials in one evaluation.
+    tensor = model.log_potentials(model.factor_indices)(latents.ravel())
+    tensor = tensor.reshape(model.n_factors, *latents.shape).swapaxes(0, 1)
+    logs = np.array([
+        estimate_recycle(PotentialMatrix(values), stream)[0].log_value
+        for values in tensor
+    ])
     draws = np.exp(logs)
     mean = draws.mean()
     mean_se = draws.std(ddof=1) / math.sqrt(draws.size)
@@ -372,4 +371,57 @@ def test_11_ess_autocorrelated_pin():
     _within_budget(
         "batch-means ESS pin", started, 60.0,
         f"ESS/T = {ratio:.3f} within 20% of 1/3 for an AR(1) series",
+    )
+
+
+def _smallest(meets, low):
+    """Smallest integer >= low where ``meets`` holds; it must hold at every larger one too."""
+    high = low
+    while not meets(high):
+        low, high = high + 1, 2 * high
+    while low < high:
+        middle = (low + high) // 2
+        if meets(middle):
+            high = middle
+        else:
+            low = middle + 1
+    return high
+
+
+def test_12_particle_scaling_exact():
+    # The paper's headline claim without Monte Carlo: on d4 the
+    # observation-averaged relative second moment is prod_p (1 + C/(N - p))
+    # for recycle and (1 + C/M)**n for simple with N = n*M particles, so
+    # the smallest N that holds it at 2 grows like n and n**2.
+    started = time.perf_counter()
+    lvm = get_fixture("d4").build()
+    constant = expected_factor_relvar(lvm)
+    assert constant == pytest.approx(0.25, abs=1e-14)
+    sizes = [10, 100, 1_000, 10_000]
+    recycle, simple = [], []
+    for n in sizes:
+        steps = np.arange(n)
+        recycle.append(_smallest(
+            lambda count: np.prod(1.0 + constant / (count - steps)) <= 2.0, n
+        ))
+        # (1 + C/M)**n >= 1 + n*C/M, so no M below n*C meets the target;
+        # starting there also keeps the power far from overflow.
+        block = _smallest(
+            lambda m: latent_expected_second_moment_simple(lvm, n, m) <= 2.0,
+            math.ceil(n * constant),
+        )
+        simple.append(n * block)
+    assert recycle == [10, 107, 1_067, 10_667]
+    assert simple == [40, 3_600, 361_000, 36_070_000]
+    decade = math.log(sizes[-1] / sizes[-2])
+    recycle_slope = math.log(recycle[-1] / recycle[-2]) / decade
+    simple_slope = math.log(simple[-1] / simple[-2]) / decade
+    assert abs(recycle_slope - 1.0) <= 0.01
+    assert abs(simple_slope - 2.0) <= 0.01
+    ratios = [s / r for s, r in zip(simple, recycle)]
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    _within_budget(
+        "particle scaling on d4", started, 5.0,
+        f"N for relative second moment <= 2 at n = {sizes}: recycle {recycle}, "
+        f"simple {simple}; slopes {recycle_slope:.4f} and {simple_slope:.4f}",
     )

@@ -291,6 +291,20 @@ def test_tune_failure_leaves_no_outputs(tmp_path):
     assert not list(out.glob("*.json")) and not list(out.glob("*.csv"))
 
 
+def test_tune_ceiling_below_start_exits_2(tmp_path, capsys):
+    # Five observations start the count at 5, already above the ceiling.
+    config = write_config(
+        tmp_path,
+        "model = two-state\nn_obs = 5\nestimator = recycle\n"
+        "target = 1000\nmax_particles = 2\n",
+    )
+    out = tmp_path / "results"
+    assert run(["tune", "--config", config, "--seed", 3, "--out", out]) == 2
+    assert "max_particles 2 is below the starting count of 5" in capsys.readouterr().err
+    assert not (out / "tune.json").exists()
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_unexpected_error_leaves_no_outputs(tmp_path, monkeypatch):
     # A failure after the results are written, of a kind main does not map
     # to an exit code, must still remove them, then propagate.
@@ -355,6 +369,28 @@ def test_mcmc_staged_pilots(tmp_path):
 
     bad = write_config(tmp_path, base + "pilot_stages = 0\n", name="bad.cfg")
     assert run(["mcmc", "--config", bad, "--seed", 5, "--out", tmp_path / "x"]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("rel_step = nan", "rel_step must be finite and positive"),
+        ("rel_step = inf", "rel_step must be finite and positive"),
+        ("rel_step = -1", "rel_step must be finite and positive"),
+        ("rel_step = 0", "rel_step must be finite and positive"),
+        ("pilot_length = -1", "pilot_length must be >= 0"),
+    ],
+)
+def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
+    config = write_config(
+        tmp_path,
+        "model = two-state\ntheta = 0.7\nn_obs = 10\n"
+        f"estimator = recycle\nn_particles = 20\nchain_length = 100\n{key}\n",
+    )
+    out = tmp_path / "results"
+    assert run(["mcmc", "--config", config, "--seed", 5, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_mcmc_exact_estimator_and_determinism(tmp_path):

@@ -18,13 +18,8 @@ from prodest.estimators import (
     estimate_perm_exact,
     estimate_recycle,
     estimate_simple,
-    recycle_log_estimates_batch,
 )
-from prodest.fixtures import (
-    get_fixture,
-    log_potential_values,
-    sample_support_indices,
-)
+from prodest.fixtures import DiscreteFixtureModel
 from prodest.oracle import estimator_distribution_exact, recycle_conditional_moments
 from prodest.rng import make_stream
 
@@ -731,17 +726,7 @@ def test_perm_ten_factors_forty_particles():
     assert estimate.log_value < 0.0
 
 
-# -------------------------------------------------------------- batch draws
-
-
-def test_batch_recycle_deterministic():
-    measure, potentials = get_fixture("d1").build()
-    rng = make_stream(77)
-    indices = sample_support_indices(measure, 2, rng, n_replicates=64)
-    tensor = log_potential_values(potentials, indices)
-    first = recycle_log_estimates_batch(tensor, make_stream(5))
-    second = recycle_log_estimates_batch(tensor, make_stream(5))
-    assert (first == second).all()
+# -------------------------------------------------------------------- draws
 
 
 class _TopUniform:
@@ -752,16 +737,17 @@ class _TopUniform:
         return top if size is None else np.full(size, top)
 
 
-def test_batch_recycle_top_uniform_stays_in_range():
+def test_recycle_top_uniform_stays_in_range():
     # The pairwise row total exceeds the running cumsum's last entry here;
-    # scaling the uniform by the former picked column 64, out of range.
+    # scaling the uniform by the former would pick a column past the end.
     row = np.array([0.0] + [-37.0] * 63)
-    logs = recycle_log_estimates_batch(row[None, None, :], _TopUniform())
-    assert logs[0] == pytest.approx(math.log((1.0 + 63 * math.exp(-37.0)) / 64))
+    estimate, trace = estimate_recycle(PotentialMatrix(row[None, :]), _TopUniform())
+    assert estimate.log_value == pytest.approx(math.log((1.0 + 63 * math.exp(-37.0)) / 64))
+    assert 0 <= trace.indices[0] < 64
     # With a second factor the pick must also land on an available column.
-    tensor = np.array([[row, row]])
-    logs = recycle_log_estimates_batch(tensor, _TopUniform())
-    assert np.isfinite(logs).all()
+    estimate, trace = estimate_recycle(PotentialMatrix(np.array([row, row])), _TopUniform())
+    assert math.isfinite(estimate.log_value)
+    assert len(set(trace.indices)) == 2 and all(0 <= k < 64 for k in trace.indices)
 
 
 @pytest.mark.parametrize("n_particles", [65, 129])
@@ -779,41 +765,20 @@ def test_recycle_top_uniform_picks_stay_out_of_padding(n_particles):
     assert estimate.log_value == pytest.approx(expected, rel=1e-12)
 
 
-def test_batch_recycle_rejects_nan_and_inf():
-    tensor = np.zeros((2, 2, 3))
-    tensor[1, 0, 2] = math.inf
-    with pytest.raises(PotentialValueError, match="inf at replicate 1, factor 0, particle 2"):
-        recycle_log_estimates_batch(tensor, make_stream(6))
-    tensor[0, 1, 1] = math.nan
-    with pytest.raises(PotentialValueError, match="nan at replicate 0, factor 1, particle 1"):
-        recycle_log_estimates_batch(tensor, make_stream(6))
-
-
-def test_batch_recycle_matches_exact_moments():
-    measure, potentials = get_fixture("d1").build()
-    mean, second = estimator_distribution_exact(measure, potentials, 2, kind="recycle")
-    rng = make_stream(404)
-    indices = sample_support_indices(measure, 2, rng, n_replicates=40000)
-    tensor = log_potential_values(potentials, indices)
-    logs = recycle_log_estimates_batch(tensor, rng)
-    draws = np.exp(logs)
-    mean_se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - mean) < 3 * mean_se
-    second_draws = draws**2
-    second_se = second_draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(second_draws.mean() - second) < 3 * second_se
-
-
-def test_batch_recycle_agrees_with_sequential_distribution():
+def test_recycle_mean_matches_exact_on_random_fixture():
     rng = np.random.default_rng(9)
     measure, potentials, n_particles = random_moment_fixture(rng)
-    mean, second = estimator_distribution_exact(
+    mean, _ = estimator_distribution_exact(
         measure, potentials, n_particles, kind="recycle"
     )
+    model = DiscreteFixtureModel(measure, potentials)
     stream = make_stream(505)
-    indices = sample_support_indices(measure, n_particles, stream, n_replicates=20000)
-    tensor = log_potential_values(potentials, indices)
-    draws = np.exp(recycle_log_estimates_batch(tensor, stream))
+    latents = model.sample_latent((), stream, size=(20000, n_particles))
+    log_potentials = model.log_potentials(model.factor_indices)
+    draws = np.exp([
+        estimate_recycle(PotentialMatrix(log_potentials(x)), stream)[0].log_value
+        for x in latents
+    ])
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - mean) < 4 * max(se, 1e-12)
 

@@ -1,16 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from prodest.fixtures import (
-    FIXTURES,
-    DiscreteFixtureModel,
-    get_fixture,
-    log_potential_values,
-    sample_support_indices,
-)
+from prodest.fixtures import FIXTURES, DiscreteFixtureModel, get_fixture
 from prodest.oracle import mean_product
 from prodest.rng import make_stream
 
@@ -25,28 +17,6 @@ def test_registry_contents():
 def test_unknown_fixture_lists_known_names():
     with pytest.raises(KeyError, match="d1"):
         get_fixture("d99")
-
-
-def test_sample_support_indices_shapes_and_law():
-    measure, _ = get_fixture("d1").build()
-    rng = make_stream(1)
-    single = sample_support_indices(measure, 4, rng)
-    assert single.shape == (4,)
-    batch = sample_support_indices(measure, 3, rng, n_replicates=5000)
-    assert batch.shape == (5000, 3)
-    counts = [(batch == 0).sum(), (batch == 1).sum()]
-    assert stats.chisquare(counts).pvalue > 1e-4
-
-
-def test_log_potential_values_shapes():
-    measure, potentials = get_fixture("d1").build()
-    indices = np.array([0, 1, 0])
-    matrix = log_potential_values(potentials, indices)
-    assert matrix.shape == (2, 3)
-    assert matrix[0] == pytest.approx([0.0, -math.inf, 0.0])
-    stacked = log_potential_values(potentials, np.array([[0, 1], [1, 1]]))
-    assert stacked.shape == (2, 2, 2)
-    assert stacked[1, 0] == pytest.approx([-math.inf, -math.inf])
 
 
 def test_fixture_model_interface():

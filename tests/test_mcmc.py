@@ -317,6 +317,22 @@ def test_tune_particle_count_respects_ceiling():
         )
 
 
+def test_tune_particle_count_rejects_ceiling_below_start():
+    # The count starts at one particle per observation, 6 here.
+    model = TwoStateLatentModel()
+    data = model.simulate(np.array([0.4]), 6, make_stream(20))
+    with pytest.raises(ValueError, match="max_particles 5 is below the starting count of 6"):
+        tune_particle_count(
+            model, data, np.array([0.4]), "recycle", target=1000.0,
+            n_replicates=30, rng=make_stream(21), max_particles=5,
+        )
+    count = tune_particle_count(
+        model, data, np.array([0.4]), "recycle", target=1000.0,
+        n_replicates=30, rng=make_stream(21), max_particles=6,
+    )
+    assert count == 6
+
+
 # ------------------------------------------------------------ effective size
 
 
