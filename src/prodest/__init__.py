@@ -27,7 +27,6 @@ from .mcmc import (
     ProposalSpec,
     ess_batch_means,
     pseudo_marginal_step,
-    relative_variance,
     run_chain,
     tune_particle_count,
     tune_proposal,

@@ -471,6 +471,8 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     model, theta, data, label = _build_problem(settings, seed)
     kind = _estimator_kind(settings, extra=("exact",))
     chain_length = settings.get_int("chain_length", 2000)
+    if chain_length < 1:
+        raise ConfigError(f"chain_length must be >= 1, got {chain_length}")
     pilot_length = settings.get_int("pilot_length", max(chain_length // 10, 200))
     if pilot_length < 0:
         raise ConfigError(f"pilot_length must be >= 0, got {pilot_length}")
@@ -478,6 +480,8 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     if pilot_stages < 1:
         raise ConfigError(f"pilot_stages must be >= 1, got {pilot_stages}")
     burn_in = settings.get_float("burn_in", 0.5)
+    if not 0.0 <= burn_in < 1.0:
+        raise ConfigError(f"burn_in must lie in [0, 1), got {burn_in}")
     proposal_scale = settings.get_str("proposal_scale", "literal")
     if proposal_scale not in ("literal", "squared"):
         raise ConfigError(
@@ -521,7 +525,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             pilot = run_chain(ChainConfig(
                 model=model, data=data, prior=prior, proposal=proposal,
                 length=pilot_length, seed=seed, estimator=estimator,
-                n_particles=n_particles, burn_in=burn_in,
+                n_particles=n_particles,
                 theta_init=theta_init, stream_id=STREAM_PILOT + 100 * stage,
             ))
             proposal = tune_proposal(
@@ -537,7 +541,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     output = run_chain(ChainConfig(
         model=model, data=data, prior=prior, proposal=proposal,
         length=chain_length, seed=seed, estimator=estimator,
-        n_particles=n_particles, burn_in=burn_in,
+        n_particles=n_particles,
         theta_init=theta_init, stream_id=STREAM_MAIN,
     ))
     elapsed = time.perf_counter() - started

@@ -11,8 +11,8 @@ overflow.
 Estimators
 ----------
 ``estimate_simple``
-    Splits the columns into n_factors consecutive blocks of ``block_size``
-    and averages each factor over its own block.  Unbiased.
+    Splits the columns into n_factors consecutive blocks of n_particles /
+    n_factors and averages each factor over its own block.  Unbiased.
 ``estimate_biased``
     Averages every factor over all columns.  Biased for n_factors > 1, but
     each factor sees every particle.
@@ -315,20 +315,19 @@ class SelectionTrace:
         return len(self.indices)
 
 
-def estimate_simple(matrix: PotentialMatrix, block_size: int) -> LogEstimate:
-    """Block estimator: factor p averaged over its own ``block_size`` columns.
+def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
+    """Block estimator: factor p averaged over its own block of columns.
 
-    Requires n_particles == n_factors * block_size; factor p owns columns
-    [p * block_size, (p + 1) * block_size).
+    Requires n_particles to be a multiple of n_factors; with block_size =
+    n_particles / n_factors, factor p owns columns [p * block_size,
+    (p + 1) * block_size).
     """
-    block_size = int(block_size)
-    if block_size < 1:
-        raise DimensionError(f"block_size must be >= 1, got {block_size}")
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
-    if n_particles != n_factors * block_size:
+    block_size, remainder = divmod(n_particles, n_factors)
+    if remainder:
         raise DimensionError(
-            f"simple estimator needs n_particles == n_factors * block_size, "
-            f"got {n_particles} != {n_factors} * {block_size}"
+            f"simple estimator needs n_particles divisible by n_factors, "
+            f"got {n_particles} and {n_factors}"
         )
     lv, columns = matrix.log_values, matrix.columns
     total = 0.0

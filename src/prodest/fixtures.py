@@ -43,7 +43,6 @@ class Fixture:
 
     name: str
     kind: str  # "moments" or "latent"
-    description: str
     build: Callable[[], Union[tuple[DiscreteMeasure, DiscretePotentialSet], DiscreteLVM]]
 
 
@@ -73,24 +72,9 @@ def two_state_latent_fixture() -> DiscreteLVM:
 
 
 FIXTURES: dict[str, Fixture] = {
-    "d1": Fixture(
-        name="d1",
-        kind="moments",
-        description="fair two-point measure, disjoint singleton indicators",
-        build=disjoint_indicator_fixture,
-    ),
-    "d3": Fixture(
-        name="d3",
-        kind="moments",
-        description="uniform measure on bit pairs, coordinate indicators",
-        build=product_coordinate_fixture,
-    ),
-    "d4": Fixture(
-        name="d4",
-        kind="latent",
-        description="two-state latent model, symmetric 3/4 vs 1/4 emission kernel",
-        build=two_state_latent_fixture,
-    ),
+    "d1": Fixture(name="d1", kind="moments", build=disjoint_indicator_fixture),
+    "d3": Fixture(name="d3", kind="moments", build=product_coordinate_fixture),
+    "d4": Fixture(name="d4", kind="latent", build=two_state_latent_fixture),
 }
 
 

@@ -18,8 +18,8 @@ parameter drops to a target of about 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,10 +42,16 @@ __all__ = [
     "tune_proposal",
     "replicate_log_estimates",
     "relative_variance_of_logs",
-    "relative_variance",
     "tune_particle_count",
     "ess_batch_means",
 ]
+
+# Diagonal jitter, relative to the mean variance, that ``from_covariance``
+# adds when a covariance is not positive definite.
+_JITTER_SCALE = 1e-8
+
+# Likelihood estimates tried before ``run_chain`` gives up on a zero start.
+_MAX_INIT_TRIES = 100
 
 
 class EstimatorFailure(RuntimeError):
@@ -93,7 +99,7 @@ class ProposalSpec:
 
     covariance: np.ndarray
     chol: np.ndarray
-    jitter: float = 0.0
+    jitter: float
 
     def __post_init__(self):
         covariance = np.asarray(self.covariance, dtype=float)
@@ -112,13 +118,13 @@ class ProposalSpec:
         return self.covariance.shape[0]
 
     @classmethod
-    def from_covariance(cls, covariance, jitter_scale: float = 1e-8) -> "ProposalSpec":
+    def from_covariance(cls, covariance) -> "ProposalSpec":
         """Factor a covariance, adding recorded diagonal jitter if needed.
 
         The matrix must be symmetric to 1e-12; it is symmetrized before
         factoring.  When the Cholesky factorization fails, a jitter of
-        ``jitter_scale * trace / dim`` (or ``jitter_scale`` itself for a
-        zero matrix) is added to the diagonal and recorded.
+        1e-8 times trace / dim (or 1e-8 itself for a zero matrix) is added
+        to the diagonal and recorded.
         """
         covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
         if covariance.shape[0] != covariance.shape[1]:
@@ -131,7 +137,7 @@ class ProposalSpec:
             return cls(covariance, np.linalg.cholesky(covariance), 0.0)
         except np.linalg.LinAlgError:
             trace = float(np.trace(covariance))
-            jitter = jitter_scale * (trace / dim if trace > 0 else 1.0)
+            jitter = _JITTER_SCALE * (trace / dim if trace > 0 else 1.0)
             inflated = covariance + jitter * np.eye(dim)
             return cls(inflated, np.linalg.cholesky(inflated), jitter)
 
@@ -154,17 +160,13 @@ class ChainConfig:
     seed: int
     estimator: str | Callable = "recycle"
     n_particles: int | None = None
-    burn_in: float = 0.5
     theta_init: np.ndarray | None = None
-    max_init_tries: int = 100
     stream_id: int = 0
 
     def __post_init__(self):
         self.length = int(self.length)
         if self.length < 1:
             raise ValueError(f"chain length must be >= 1, got {self.length}")
-        if not 0.0 <= float(self.burn_in) < 1.0:
-            raise ValueError(f"burn_in fraction must lie in [0, 1), got {self.burn_in}")
         if self.proposal.dim != self.prior.dim:
             raise DimensionError(
                 f"proposal dimension {self.proposal.dim} != prior dimension {self.prior.dim}"
@@ -246,7 +248,7 @@ def _initial_state(
             raise InitializationError(
                 f"the supplied initial theta {theta!r} has zero prior density"
             )
-    for _ in range(int(config.max_init_tries)):
+    for _ in range(_MAX_INIT_TRIES):
         if not supplied:
             theta = config.prior.sample(rng)
             log_prior_value = config.prior.log_density(theta)
@@ -256,7 +258,7 @@ def _initial_state(
         if log_like_value > -math.inf:
             return ChainState(theta, log_like_value, log_prior_value)
     raise InitializationError(
-        f"likelihood estimate was zero for {config.max_init_tries} initialization attempts"
+        f"likelihood estimate was zero for {_MAX_INIT_TRIES} initialization attempts"
     )
 
 
@@ -309,7 +311,6 @@ def tune_proposal(
     pilot,
     burn_in: float = 0.5,
     literal_scaling: bool = True,
-    jitter_scale: float = 1e-8,
 ) -> ProposalSpec:
     """Empirical-covariance proposal from pilot samples.
 
@@ -330,7 +331,7 @@ def tune_proposal(
         )
     sample_cov = np.atleast_2d(np.cov(kept, rowvar=False))
     factor = 2.38 / math.sqrt(dim) if literal_scaling else 2.38**2 / dim
-    return ProposalSpec.from_covariance(factor * sample_cov, jitter_scale)
+    return ProposalSpec.from_covariance(factor * sample_cov)
 
 
 def replicate_log_estimates(
@@ -361,15 +362,6 @@ def relative_variance_of_logs(log_estimates) -> float:
     first = scaled.mean()
     second = (scaled**2).mean()
     return float(second / first**2 - 1.0)
-
-
-def relative_variance(
-    estimate_fn: Callable, n_replicates: int, rng: np.random.Generator
-) -> float:
-    """Relative variance of a log-scale estimator over fresh replicates."""
-    return relative_variance_of_logs(
-        replicate_log_estimates(estimate_fn, n_replicates, rng)
-    )
 
 
 def tune_particle_count(
@@ -404,8 +396,8 @@ def tune_particle_count(
         )
     while True:
         estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
-        measured = relative_variance(
-            lambda r: estimate_fn(theta, r), n_replicates, rng
+        measured = relative_variance_of_logs(
+            replicate_log_estimates(lambda r: estimate_fn(theta, r), n_replicates, rng)
         )
         if probes is not None:
             probes.append((n_particles, measured))

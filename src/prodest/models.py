@@ -24,12 +24,8 @@ the particle count.  It hands the estimators a compressed
 ``PotentialMatrix`` whose ``columns`` map each particle to its value's
 column; float latents (g-and-k) get the full matrix.  The compressed
 matrix gives the same estimates, bit for bit, for ``simple``, ``biased``
-and ``perm``.  ``recycle`` weighs each distinct value by its potential
-times its particle count and takes one of its particles by rank, so its
-estimates have the same law but its fixed-seed streams differ from the
-full matrix's.  Its numpy work is one pass over the whole (n_obs, K)
-matrix per estimate; a factor then costs O(1) unless its first try lands
-on a particle already taken (see "Recycle kernel" in ``estimators``).
+and ``perm``, and the same law, but not the same fixed-seed stream, for
+``recycle`` (see "Recycle kernel" in ``estimators``).
 
 Included models: the g-and-k quantile distribution observed through a
 uniform perturbation (indicator potentials), the Poisson-Beta count
@@ -79,6 +75,10 @@ SKEWNESS_SCALE = 0.8
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
+# Emission law of ``TwoStateLatentModel``: kernel[state, symbol].
+_TWO_STATE_KERNEL = np.array([[0.75, 0.25], [0.25, 0.75]])
+_TWO_STATE_KERNEL.flags.writeable = False
+
 # Widest latent range, in multiples of the particle count, that
 # ``_distinct_values`` tabulates instead of sorting.
 _DENSE_SPAN = 4
@@ -124,6 +124,11 @@ def gandk_quantile_transform(z, params: GandKParams):
     return out if out.ndim else float(out)
 
 
+def _check_scale(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def gandk_simulate_data(
     params: GandKParams,
     n_obs: int,
@@ -141,8 +146,7 @@ def gandk_simulate_data(
     n_obs = int(n_obs)
     if n_obs < 1:
         raise DimensionError(f"need at least one observation, got {n_obs}")
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    _check_scale("half_width", half_width)
     x = gandk_quantile_transform(rng.standard_normal(n_obs), params)
     bound = 1.0 if unit_noise else half_width
     u = rng.uniform(-bound, bound, size=n_obs)
@@ -265,8 +269,7 @@ class GandKModel:
     theta_dim = 4
 
     def __init__(self, half_width: float = 0.2, unit_noise: bool = False):
-        if not half_width > 0:
-            raise ValueError(f"half_width must be positive, got {half_width}")
+        _check_scale("half_width", half_width)
         self.half_width = float(half_width)
         self.unit_noise = bool(unit_noise)
 
@@ -300,8 +303,7 @@ class PoissonBetaModel:
     theta_dim = 3
 
     def __init__(self, sigma: float = 5.0):
-        if not sigma > 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        _check_scale("sigma", sigma)
         self.sigma = float(sigma)
 
     def params(self, theta) -> PoissonBetaParams:
@@ -337,16 +339,7 @@ class TwoStateLatentModel:
 
     param_names = ("weight",)
     theta_dim = 1
-
-    def __init__(self, kernel=None):
-        if kernel is None:
-            kernel = np.array([[0.75, 0.25], [0.25, 0.75]])
-        kernel = np.asarray(kernel, dtype=float)
-        if kernel.ndim != 2 or kernel.shape[0] != 2:
-            raise DimensionError(f"kernel must be (2, n_symbols), got {kernel.shape}")
-        if (kernel < 0).any() or np.abs(kernel.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("kernel rows must be distributions")
-        self.kernel = kernel
+    kernel = _TWO_STATE_KERNEL
 
     def _weight(self, theta) -> float:
         theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -373,8 +366,7 @@ class TwoStateLatentModel:
 
     def log_potentials(self, data) -> Callable:
         symbols = self._symbol_column(data)
-        with np.errstate(divide="ignore"):
-            log_kernel = np.log(self.kernel)
+        log_kernel = np.log(self.kernel)
         return lambda x: log_kernel[np.asarray(x, dtype=np.intp)[None, :], symbols]
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
@@ -387,8 +379,7 @@ class TwoStateLatentModel:
         weight = self._weight(theta)
         mix = (1.0 - weight) * self.kernel[0] + weight * self.kernel[1]
         obs = self._symbol_column(data)[:, 0]
-        with np.errstate(divide="ignore"):
-            return float(np.log(mix[obs]).sum())
+        return float(np.log(mix[obs]).sum())
 
     def default_prior(self) -> PriorSpec:
         return PriorSpec((UniformPrior(0.0, 1.0),))
@@ -449,7 +440,6 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
             f"simple estimator needs n_particles divisible by n_obs, "
             f"got {n_particles} and {n_obs}"
         )
-    block_size = n_particles // n_obs
     log_potential_matrix = model.log_potentials(data)
 
     def estimate(theta, rng: np.random.Generator) -> float:
@@ -465,7 +455,7 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
         if kind == "simple":
-            return estimate_simple(matrix, block_size).log_value
+            return estimate_simple(matrix).log_value
         if kind == "perm":
             return estimate_perm_exact(matrix).log_value
         return estimate_biased(matrix).log_value

@@ -26,11 +26,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .estimators import DimensionError, EnumerationLimitError, check_particle_count
+from .estimators import (
+    DEFAULT_ENUMERATION_CAP,
+    DimensionError,
+    EnumerationLimitError,
+    check_particle_count,
+)
 
 __all__ = [
     "DiscreteMeasure",
@@ -55,8 +60,6 @@ __all__ = [
     "latent_expected_second_moment",
     "latent_expected_second_moment_simple",
 ]
-
-DEFAULT_ORACLE_CAP = 10_000_000
 
 _PROB_TOL = 1e-12
 
@@ -297,7 +300,7 @@ def second_moment_perm_exact(
     measure: DiscreteMeasure,
     potentials: DiscretePotentialSet,
     n_particles: int,
-    max_terms: int = DEFAULT_ORACLE_CAP,
+    max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Relative second moment of the ordered-selection estimator.
 
@@ -326,7 +329,7 @@ def second_moment_recycle_exact(
     measure: DiscreteMeasure,
     potentials: DiscretePotentialSet,
     n_particles: int,
-    max_terms: int = DEFAULT_ORACLE_CAP,
+    max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Relative second moment of the recycled estimator.
 
@@ -374,7 +377,8 @@ def identical_potential_bound(
     """Lower bound on the ordered-selection second moment for identical factors.
 
     With all factors equal and single-draw relative variance c, the
-    relative second moment is at least ``(1 + c) ** (n_factors**2 / n_particles)``.
+    relative second moment is at least ``(1 + c) ** (n_factors**2 / n_particles)``,
+    or inf when that passes the largest double.
     """
     if single_relvar < 0:
         raise ValueError(f"relative variance cannot be negative, got {single_relvar}")
@@ -383,7 +387,7 @@ def identical_potential_bound(
         raise DimensionError(
             f"need 1 <= n_factors <= n_particles, got {n_factors}, {n_particles}"
         )
-    return float((1.0 + single_relvar) ** (n_factors**2 / n_particles))
+    return _power_or_inf(1.0 + single_relvar, n_factors**2 / n_particles)
 
 
 def _recycle_moments_given_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,8 +475,7 @@ def estimator_distribution_exact(
     potentials: DiscretePotentialSet,
     n_particles: int,
     kind: str,
-    block_size: int | None = None,
-    max_terms: int = DEFAULT_ORACLE_CAP,
+    max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[float, float]:
     """Exact raw mean and second moment of an estimator on a finite problem.
 
@@ -480,14 +483,20 @@ def estimator_distribution_exact(
     slots, weights each by its probability, and evaluates the requested
     estimator's conditional law in closed form.  ``kind`` is one of
     ``simple``, ``biased``, ``perm`` or ``recycle``; ``simple`` requires
-    ``block_size``.  This brute-force route shares nothing with the
-    moment-product identities, so agreement between the two is a real
-    cross-check.
+    n_particles to be a multiple of n_factors.  This brute-force route
+    shares nothing with the moment-product identities, so agreement
+    between the two is a real cross-check.
     """
     probs, values = _check_pair(measure, potentials)
     n_factors = potentials.n_factors
     n_particles = int(n_particles)
     check_particle_count(n_particles, n_factors)
+    block_size, remainder = divmod(n_particles, n_factors)
+    if kind == "simple" and remainder:
+        raise DimensionError(
+            f"simple estimator needs n_particles divisible by n_factors, "
+            f"got {n_particles} and {n_factors}"
+        )
     n_points = measure.n_points
     n_assignments = n_points**n_particles
     if kind in ("perm", "recycle"):
@@ -505,14 +514,6 @@ def estimator_distribution_exact(
     tabulated = values[:, assignments]  # (n_factors, n_assignments, n_particles)
 
     if kind == "simple":
-        if block_size is None:
-            raise DimensionError("the simple estimator needs a block_size")
-        block_size = int(block_size)
-        if n_particles != n_factors * block_size:
-            raise DimensionError(
-                f"simple estimator needs n_particles == n_factors * block_size, "
-                f"got {n_particles} != {n_factors} * {block_size}"
-            )
         blocks = [
             tabulated[p, :, p * block_size : (p + 1) * block_size].mean(axis=1)
             for p in range(n_factors)
@@ -536,7 +537,7 @@ def moment_report(
     potentials: DiscretePotentialSet,
     n_particles: int,
     block_size: int | None = None,
-    max_terms: int = DEFAULT_ORACLE_CAP,
+    max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> MomentReport:
     """Bundle the exact target and relative second moments for one problem size."""
     simple = None
@@ -603,7 +604,7 @@ def latent_expected_second_moment(
     lvm: DiscreteLVM,
     n_obs: int,
     n_particles: int,
-    max_terms: int = DEFAULT_ORACLE_CAP,
+    max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[float, float, float]:
     """Observation-averaged recycled second moment, both routes.
 
@@ -646,9 +647,18 @@ def latent_expected_second_moment_simple(
 
     Equals ``(1 + C / block_size) ** n_obs`` because the induced factors
     are exchangeable across observations and the block estimator's second
-    moment is a product of per-factor terms.
+    moment is a product of per-factor terms; inf when that passes the
+    largest double.
     """
     n_obs, block_size = int(n_obs), int(block_size)
     if n_obs < 1 or block_size < 1:
         raise DimensionError("n_obs and block_size must be >= 1")
-    return float((1.0 + expected_factor_relvar(lvm) / block_size) ** n_obs)
+    return _power_or_inf(1.0 + expected_factor_relvar(lvm) / block_size, n_obs)
+
+
+def _power_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent`` for base >= 1, or inf where a float power overflows."""
+    try:
+        return float(base**exponent)
+    except OverflowError:
+        return math.inf

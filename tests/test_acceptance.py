@@ -75,12 +75,7 @@ def test_01_exact_unbiasedness():
         if n_particles % potentials.n_factors == 0:
             kinds.append("simple")
         for kind in kinds:
-            block = (
-                n_particles // potentials.n_factors if kind == "simple" else None
-            )
-            mean, _ = estimator_distribution_exact(
-                measure, potentials, n_particles, kind=kind, block_size=block
-            )
+            mean, _ = estimator_distribution_exact(measure, potentials, n_particles, kind=kind)
             assert abs(mean - target) <= 1e-10 * target, (kind, mean, target)
             checked += 1
     d1_mean, _ = estimator_distribution_exact(

@@ -379,13 +379,41 @@ def test_mcmc_staged_pilots(tmp_path):
         ("rel_step = -1", "rel_step must be finite and positive"),
         ("rel_step = 0", "rel_step must be finite and positive"),
         ("pilot_length = -1", "pilot_length must be >= 0"),
+        ("chain_length = 0", "chain_length must be >= 1"),
+        ("burn_in = 1", "burn_in must lie in [0, 1)"),
+        ("burn_in = -0.5", "burn_in must lie in [0, 1)"),
+        ("burn_in = nan", "burn_in must lie in [0, 1)"),
     ],
 )
 def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
+    lines = {"n_particles": "20", "chain_length": "100"}
+    lines.update([key.split(" = ")])
     config = write_config(
         tmp_path,
-        "model = two-state\ntheta = 0.7\nn_obs = 10\n"
-        f"estimator = recycle\nn_particles = 20\nchain_length = 100\n{key}\n",
+        "model = two-state\ntheta = 0.7\nn_obs = 10\nestimator = recycle\n"
+        + "".join(f"{name} = {value}\n" for name, value in lines.items()),
+    )
+    out = tmp_path / "results"
+    assert run(["mcmc", "--config", config, "--seed", 5, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("chain_length = 0", "chain_length must be >= 1"),
+        ("burn_in = 1\npilot_length = 0", "burn_in must lie in [0, 1)"),
+    ],
+)
+def test_mcmc_config_errors_exit_before_tuning(tmp_path, capsys, monkeypatch, key, message):
+    def fail(*args, **kwargs):
+        pytest.fail("particle tuning ran before the configuration was checked")
+
+    monkeypatch.setattr("prodest.cli.tune_particle_count", fail)
+    config = write_config(
+        tmp_path,
+        f"model = two-state\ntheta = 0.7\nn_obs = 10\nestimator = recycle\n{key}\n",
     )
     out = tmp_path / "results"
     assert run(["mcmc", "--config", config, "--seed", 5, "--out", out]) == 2
@@ -443,19 +471,23 @@ def test_estimate_indivisible_simple_blocks_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
-@pytest.mark.parametrize("where", ["data", "theta"])
+@pytest.mark.parametrize("where", ["data", "theta", "scale"])
 @pytest.mark.parametrize("model", ["gandk", "poisson-beta"])
 def test_estimate_non_finite_input_exits_2(tmp_path, capsys, model, where, bad):
     observations = ["1.5", "2.5", "3.5"]
     theta = {"gandk": ["3", "1", "2", "0.5"], "poisson-beta": ["500", "2", "8"]}[model]
+    scale = ""
     if where == "data":
         observations[1] = bad
-    else:
+    elif where == "theta":
         theta[0] = bad
+    else:
+        scale = f"{'epsilon' if model == 'gandk' else 'sigma'} = {bad}\n"
     (tmp_path / "obs.dat").write_text("\n".join(observations) + "\n")
     config = write_config(
         tmp_path,
-        f"model = {model}\ntheta = {', '.join(theta)}\ndata = obs.dat\nn_particles = 6\n",
+        f"model = {model}\ntheta = {', '.join(theta)}\ndata = obs.dat\nn_particles = 6\n"
+        + scale,
     )
     out = tmp_path / "results"
     assert run(["estimate", "--config", config, "--out", out,

@@ -110,25 +110,26 @@ def test_selection_trace_validation():
 
 
 def test_simple_hand_value():
-    assert estimate_simple(CROSS, block_size=1).log_value == pytest.approx(0.0)
+    assert estimate_simple(CROSS).log_value == pytest.approx(0.0)
 
 
 def test_simple_blocks_are_disjoint():
     matrix = PotentialMatrix(
         np.log(np.array([[3.0, 1.0, 9.0, 9.0], [9.0, 9.0, 2.0, 4.0]]))
     )
-    estimate = estimate_simple(matrix, block_size=2)
+    estimate = estimate_simple(matrix)
     assert estimate.log_value == pytest.approx(math.log(2.0 * 3.0), rel=1e-14)
 
 
 def test_simple_requires_matching_block():
-    with pytest.raises(DimensionError):
-        estimate_simple(CROSS, block_size=2)
+    matrix = PotentialMatrix(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="divisible"):
+        estimate_simple(matrix)
 
 
 def test_simple_zero_block_gives_zero():
     matrix = PotentialMatrix(np.array([[NEG_INF, NEG_INF], [0.0, 0.0]]))
-    assert estimate_simple(matrix, block_size=1).log_value == NEG_INF
+    assert estimate_simple(matrix).log_value == NEG_INF
 
 
 def test_biased_hand_value():
@@ -240,7 +241,7 @@ def test_recycle_underflow_after_retired_maximum():
 def test_single_factor_estimators_agree():
     matrix = PotentialMatrix(_log([[0.5, 2.0, 0.0, 1.5]]))
     expected = math.log(np.mean([0.5, 2.0, 0.0, 1.5]))
-    assert estimate_simple(matrix, block_size=4).log_value == pytest.approx(expected)
+    assert estimate_simple(matrix).log_value == pytest.approx(expected)
     assert estimate_biased(matrix).log_value == pytest.approx(expected)
     assert estimate_perm_exact(matrix).log_value == pytest.approx(expected)
     estimate, _ = estimate_recycle(matrix, make_stream(2))
@@ -581,7 +582,7 @@ def test_tied_matrix_feeds_every_estimator_its_expanded_values():
     tied = PotentialMatrix(log_values, columns)
     expanded = PotentialMatrix(log_values[:, columns])
     assert np.array_equal(tied.expanded(), expanded.log_values)
-    assert estimate_simple(tied, 4).log_value == estimate_simple(expanded, 4).log_value
+    assert estimate_simple(tied).log_value == estimate_simple(expanded).log_value
     assert estimate_biased(tied).log_value == estimate_biased(expanded).log_value
     assert estimate_perm_exact(tied).log_value == estimate_perm_exact(expanded).log_value
 
@@ -659,7 +660,7 @@ def test_perm_equals_average_of_permuted_simple():
     values = np.log(rng.random((3, 3)) + 0.01)
     matrix = PotentialMatrix(values)
     logs = [
-        estimate_simple(PotentialMatrix(values[:, perm]), 1).log_value
+        estimate_simple(PotentialMatrix(values[:, perm])).log_value
         for perm in itertools.permutations(range(3))
     ]
     direct = math.log(np.mean(np.exp(logs)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prodest.mcmc import (
+    _MAX_INIT_TRIES,
     ChainConfig,
     ChainState,
     EstimatorFailure,
@@ -14,7 +15,7 @@ from prodest.mcmc import (
     ess_batch_means,
     initial_proposal,
     pseudo_marginal_step,
-    relative_variance,
+    relative_variance_of_logs,
     replicate_log_estimates,
     run_chain,
     tune_particle_count,
@@ -229,17 +230,15 @@ def test_run_chain_init_requires_positive_prior():
 
 def test_run_chain_init_retries_then_fails():
     estimator = CountingEstimator(value=-math.inf)
-    config = flat_chain_config(10, seed=11, estimator=estimator, max_init_tries=7)
-    with pytest.raises(InitializationError):
+    config = flat_chain_config(10, seed=11, estimator=estimator)
+    with pytest.raises(InitializationError, match=f"{_MAX_INIT_TRIES} initialization"):
         run_chain(config)
-    assert estimator.calls == 7
+    assert estimator.calls == _MAX_INIT_TRIES
 
 
 def test_chain_config_validation():
     with pytest.raises(ValueError):
         flat_chain_config(0, seed=0, estimator=lambda t, r: 0.0)
-    with pytest.raises(ValueError):
-        flat_chain_config(10, seed=0, estimator=lambda t, r: 0.0, burn_in=1.0)
     with pytest.raises(ValueError):
         flat_chain_config(10, seed=0, estimator="recycle")  # needs n_particles
     with pytest.raises(ValueError):
@@ -260,6 +259,11 @@ def test_replicate_log_estimates_deterministic():
     b = replicate_log_estimates(noisy, 50, make_stream(12))
     assert a.shape == (50,)
     assert (a == b).all()
+
+
+def relative_variance(estimate_fn, n_replicates, rng):
+    """What ``tune_particle_count`` measures at each probe."""
+    return relative_variance_of_logs(replicate_log_estimates(estimate_fn, n_replicates, rng))
 
 
 def test_relative_variance_edge_cases():

@@ -391,7 +391,7 @@ def test_simple_estimate_reads_the_compressed_matrix():
     tracemalloc.start()
     try:
         matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
-        estimate_simple(matrix, n_particles // 50)
+        estimate_simple(matrix)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from prodest.estimators import (
+    DimensionError,
     EnumerationLimitError,
     PotentialMatrix,
     estimate_perm_exact,
@@ -198,6 +199,11 @@ def test_identical_bound_is_lower_bound():
         assert exact >= bound - 1e-9
 
 
+def test_identical_bound_past_largest_double_is_inf():
+    assert identical_potential_bound(1.0, 1000, 1000) == 2.0**1000
+    assert identical_potential_bound(1.0, 2000, 2000) == math.inf
+
+
 # ------------------------------------------------------------ dual routes
 
 
@@ -232,12 +238,14 @@ def test_enumeration_simple_route():
         block = n_particles // potentials.n_factors
         target = mean_product(measure, potentials)
         raw_mean, raw_second = estimator_distribution_exact(
-            measure, potentials, n_particles, kind="simple", block_size=block
+            measure, potentials, n_particles, kind="simple"
         )
         assert raw_mean == pytest.approx(target, rel=1e-11)
         assert raw_second / target**2 == pytest.approx(
             second_moment_simple_exact(measure, potentials, block), rel=1e-10
         )
+    with pytest.raises(DimensionError, match="divisible"):
+        estimator_distribution_exact(*D1, 3, kind="simple")
 
 
 def test_enumeration_biased_pinned():
@@ -429,6 +437,11 @@ def test_latent_simple_second_moment_matches_enumeration():
                 lvm.measure, potentials, 2
             )
     assert total == pytest.approx(closed, rel=1e-12)
+
+
+def test_latent_simple_second_moment_past_largest_double_is_inf():
+    assert latent_expected_second_moment_simple(D4, 3000, 1) == 1.25**3000
+    assert latent_expected_second_moment_simple(D4, 10_000, 1) == math.inf
 
 
 def test_lvm_validation():

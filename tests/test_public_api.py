@@ -1,14 +1,24 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name and every optional parameter has a caller outside the tests.
 
 A name in a module's ``__all__`` must be read somewhere in ``src/`` or
 ``scripts/``: as a plain name or as an attribute, in its own module or
 another.  Its definition, its ``__all__`` entry and its imports do not
-count.  ``oracle`` is exempt: its functions are the reference
+count.
+
+A parameter with a default, of a public function, of a public method of
+a public class, or of a public class's constructor, must be passed in
+some call in ``src/`` or ``scripts/``: by keyword, or by a position at
+or past its own.  Calls are matched by the called name alone, and a call
+with ``*args`` or ``**kwargs`` counts as passing every parameter.  A
+default that no caller overrides is a constant, and belongs in the code.
+
+``oracle`` is exempt from both checks: its functions are the reference
 implementations the tests compare against.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -17,12 +27,30 @@ import prodest
 ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"oracle"}
 
+# Optional parameters that no call in src/ or scripts/ passes, and why.
+UNSET_ALLOWED = {
+    "cli.main(argv)": "the entry point; the console script calls it with none",
+    "estimators.PotentialMatrix(columns)": "src/ builds compressed matrices through adopt",
+    "estimators.estimate_perm_exact(max_terms)": "a safety cap on the dynamic program",
+}
+
+
+def _trees():
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py")]:
+        yield ast.parse(path.read_text(), str(path))
+
+
+def _public_modules():
+    for info in pkgutil.iter_modules(prodest.__path__):
+        if info.name not in EXEMPT:
+            yield info.name, importlib.import_module(f"prodest.{info.name}")
+
 
 def _names_read():
     """Every name read as a variable or attribute in src/ and scripts/."""
     read = set()
-    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -30,13 +58,70 @@ def _names_read():
     return read
 
 
+def _calls_by_name():
+    """Every call in src/ and scripts/, keyed by the called name."""
+    calls = {}
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _callables(module):
+    """``(label, called name, signature)`` of each public callable of a module."""
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, name, inspect.signature(obj)
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            yield name, name, inspect.signature(obj)
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    yield f"{name}.{attr}", attr, inspect.signature(getattr(obj, attr))
+                elif inspect.isfunction(member):
+                    signature = inspect.signature(member)
+                    params = list(signature.parameters.values())[1:]  # drop self
+                    yield f"{name}.{attr}", attr, signature.replace(parameters=params)
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     read = _names_read()
     unused = [
-        f"{info.name}.{name}"
-        for info in pkgutil.iter_modules(prodest.__path__)
-        if info.name not in EXEMPT
-        for name in getattr(importlib.import_module(f"prodest.{info.name}"), "__all__", ())
+        f"{module_name}.{name}"
+        for module_name, module in _public_modules()
+        for name in getattr(module, "__all__", ())
         if name not in read
     ]
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_every_optional_parameter_is_passed_outside_tests():
+    calls = _calls_by_name()
+    unset = []
+    for module_name, module in _public_modules():
+        for label, called, signature in _callables(module):
+            for position, param in enumerate(signature.parameters.values()):
+                if param.default is param.empty:
+                    continue
+                if param.kind is param.KEYWORD_ONLY:
+                    position = None
+                if not any(_passes(call, position, param.name) for call in calls.get(called, ())):
+                    unset.append(f"{module_name}.{label}({param.name})")
+    assert sorted(unset) == sorted(UNSET_ALLOWED), (
+        f"optional parameters no caller in src/ or scripts/ sets: "
+        f"{sorted(set(unset) - set(UNSET_ALLOWED))}; "
+        f"allowlisted but now set: {sorted(set(UNSET_ALLOWED) - set(unset))}"
+    )
