@@ -13,7 +13,6 @@ from .estimators import (
     LogEstimate,
     PotentialMatrix,
     PotentialValueError,
-    SelectionTrace,
     estimate_biased,
     estimate_perm_exact,
     estimate_recycle,

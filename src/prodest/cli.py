@@ -375,15 +375,21 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
     fixture = _get_fixture_checked(settings.get_str("fixture", "d1"))
     built = fixture.build()
     if fixture.kind == "moments":
-        measure, potentials = built
-        n_factors = potentials.n_factors
-        n_particles = settings.get_int("n_particles", n_factors)
-        if settings.has("block_size"):
-            block_size = settings.get_int("block_size")
-        else:
-            block_size = n_particles // n_factors if n_particles % n_factors == 0 else None
         if settings.has("n_obs"):
             raise ConfigError(f"fixture {fixture.name!r} takes no n_obs")
+        n_factors = built[1].n_factors
+        n_particles = settings.get_int("n_particles", n_factors)
+    else:
+        n_factors = settings.get_int("n_obs", 1)
+        if n_factors < 1:
+            raise ConfigError(f"n_obs must be >= 1, got {n_factors}")
+        n_particles = settings.get_int("n_particles", n_factors + 1)
+    if settings.has("block_size"):
+        block_size = settings.get_int("block_size")
+    else:
+        block_size = n_particles // n_factors if n_particles % n_factors == 0 else None
+    if fixture.kind == "moments":
+        measure, potentials = built
         report = moment_report(measure, potentials, n_particles, block_size)
         workspace.write_csv(
             "oracle.csv",
@@ -405,13 +411,7 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
             )],
         )
         return
-    lvm = built
-    n_obs = settings.get_int("n_obs", 1)
-    n_particles = settings.get_int("n_particles", n_obs + 1)
-    if settings.has("block_size"):
-        block_size = settings.get_int("block_size")
-    else:
-        block_size = n_particles // n_obs if n_particles % n_obs == 0 else None
+    lvm, n_obs = built, n_factors
     enumerated, closed_form, constant = latent_expected_second_moment(lvm, n_obs, n_particles)
     simple_closed = (
         latent_expected_second_moment_simple(lvm, n_obs, block_size)
@@ -490,8 +490,13 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     init = settings.get_str("init", "theta")
     if init not in ("theta", "prior"):
         raise ConfigError(f"init must be 'theta' or 'prior', got {init!r}")
-    proposal = initial_proposal(theta, settings.get_float("rel_step", 0.05))
     prior = model.default_prior()
+    if init == "theta" and prior.log_density(theta) == -math.inf:
+        raise ConfigError(
+            f"theta {settings.get_str('theta')!r} lies outside the prior's support; "
+            "the chain cannot start there (use init = prior)"
+        )
+    proposal = initial_proposal(theta, settings.get_float("rel_step", 0.05))
     started = time.perf_counter()
 
     if kind == "exact":

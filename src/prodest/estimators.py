@@ -43,22 +43,27 @@ n_factors uniforms are drawn in one call.
 
 Each factor then gets a *first try*, found for all factors in one
 vectorised pass: the column where ``u_p * W_p`` falls in ``run[p]``, and
-in it the particle whose rank, in index order among all the column's
-particles, is what the target leaves past the column's start divided by
-one particle's weight.  That is a draw from factor p's weights over all
-n_particles, taken particles included.  Walking the factors in order, the
-first try stands when the particles earlier factors took hold at most
-half of the factor's mass (R_p <= W_p / 2) and it is not one of them; the
-factor average is then ``shift_p + log(W_p - R_p) - log(n_particles - p)``
-at O(1) cost.  Otherwise the exact step runs: a running sum over the
-row's weights times the available particles per column, a search for the
-column and a rank among its available particles, O(n_columns).  A first
-try that lands on a taken particle is rejected and the exact step draws a
-fresh uniform; a row that fails the half-mass guard, which depends on the
-earlier picks only, gives the exact step its own ``u_p``.  So each factor
-draws at most one extra uniform, and the law is recycle's::
+in it the particle whose rank among all the column's particles is what
+the target leaves past the column's start divided by one particle's
+weight.  That is a draw from factor p's weights over all n_particles,
+taken particles included.  The estimate depends on the retired particles
+only through their potentials, so the particles of a column are
+interchangeable: the kernel ranks a column's available particles first
+and its taken ones after them, and keeps only ``live[c]``, the count of
+the available ones.  Walking the factors in order, the first try stands
+when the particles earlier factors took hold at most half of the
+factor's mass (R_p <= W_p / 2) and its rank is below ``live[c]``; the
+factor average is then ``shift_p + log(W_p - R_p) - log(n_particles -
+p)`` at O(1) cost.  Otherwise the exact step runs: a running sum over the
+row's weights times ``live``, and a search for the column, O(n_columns).
+A first try that lands on a taken particle is rejected and the exact step
+draws a fresh uniform; a row that fails the half-mass guard, which
+depends on the earlier picks only, gives the exact step its own ``u_p``.
+So each factor draws at most one extra uniform, and the law is
+recycle's, column by column::
 
-    P(pick j) = w_j / W + (R / W) * w_j / (W - R) = w_j / (W - R).
+    P(pick c) = live_c w_c / W + (R / W) * live_c w_c / (W - R)
+              = live_c w_c / (W - R).
 
 The half-mass guard keeps the cancellation in W - R to one bit.  It also
 sends a row whose available particles sit hundreds of nats below a taken
@@ -68,11 +73,10 @@ of W.  When the available particles' shifted mass falls below
 available columns, with the taken ones masked to ``-inf`` so that their
 exp cannot overflow.  R_p is a lower-triangular
 sum over the weights of the first tries' columns, corrected whenever an
-exact step picks another column.  The (column, rank) picks become
-particle indices once, at the end, from the particles of the picked
-columns only.  A compressed matrix gives the estimate and the selected
-particles the same law as its expanded matrix, but not the same
-fixed-seed stream.
+exact step picks another column.  The picks are columns: particle
+indices for a full matrix, latent values' columns for a compressed one.
+A compressed matrix gives the estimate and the retired columns the same
+law as its expanded matrix, but not the same fixed-seed stream.
 
 Permanent dynamic program
 -------------------------
@@ -91,7 +95,6 @@ updates.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -106,7 +109,6 @@ __all__ = [
     "PotentialValueError",
     "PotentialMatrix",
     "LogEstimate",
-    "SelectionTrace",
     "estimate_simple",
     "estimate_biased",
     "estimate_recycle",
@@ -223,9 +225,9 @@ class PotentialMatrix:
     particle.  The check that every column has a particle counts them;
     ``column_counts`` keeps that count, read-only, and is None for a full
     matrix.  ``estimate_recycle`` works on the compressed form directly:
-    it weighs a column by potential times particle count, then takes one
-    of its particles by rank, so it has the expanded matrix's law but not
-    its fixed-seed stream.  ``estimate_simple`` and ``estimate_biased`` read
+    it weighs a column by potential times available particle count and
+    retires columns, so it has the expanded matrix's law but not its
+    fixed-seed stream.  ``estimate_simple`` and ``estimate_biased`` read
     the columns particle by particle and give the expanded matrix's
     values bit for bit; ``estimate_perm_exact`` reads ``expanded()``.
 
@@ -297,24 +299,6 @@ class LogEstimate:
         return exp_or_inf(self.log_value)
 
 
-@dataclass(frozen=True)
-class SelectionTrace:
-    """Columns retired by the recycled estimator, in selection order."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"selection indices must be distinct, got {idx}")
-        if any(i < 0 for i in idx):
-            raise ValueError(f"selection indices must be non-negative, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
     """Block estimator: factor p averaged over its own block of columns.
 
@@ -363,7 +347,7 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
 
 def estimate_recycle(
     matrix: PotentialMatrix, rng: np.random.Generator
-) -> tuple[LogEstimate, SelectionTrace]:
+) -> tuple[LogEstimate, tuple[int, ...]]:
     """Recycled estimator: sequential averages over not-yet-selected particles.
 
     Starting from the full particle set, factor p is averaged over the
@@ -372,8 +356,8 @@ def estimate_recycle(
     factor p's potential among those available, then retired.  When all
     available potentials for a factor vanish the factor average is zero,
     the estimate is zero from that point on, and the selection falls back
-    to a uniform draw over the available particles so the trace is always
-    complete.
+    to a uniform draw over the available particles, so every factor still
+    retires one.
 
     The numpy work runs once per estimate, over the whole of
     ``matrix.log_values`` (see "Recycle kernel" in the module docstring).
@@ -388,11 +372,13 @@ def estimate_recycle(
     available particles when the former would leave their mass below
     ``_MIN_WEIGHT_TOTAL``.
 
-    Returns the log estimate together with the n_factors selected particle
-    indices (columns of the expanded matrix) in order.  The estimator is
-    unbiased for the target product and reproducible given (matrix,
-    generator state).  It draws n_factors uniform variates in one call,
-    then one more for each first try that lands on a taken particle.
+    Returns the log estimate together with the n_factors columns of
+    ``matrix.log_values`` retired, in order: particle indices for a full
+    matrix, latent values' columns, each at most its particle count times,
+    for a compressed one.  The estimator is unbiased for the target product
+    and reproducible given (matrix, generator state).  It draws n_factors
+    uniform variates in one call, then one more for each first try that
+    lands on a taken particle.
     """
     lv, counts = matrix.log_values, matrix.column_counts
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
@@ -431,12 +417,9 @@ def estimate_recycle(
     first_counts = [1] * n_factors if counts is None else counts[first].tolist()
     shifts, gross = row_max.tolist(), gross.tolist()
     first_columns, uniforms, residuals = first.tolist(), uniforms.tolist(), residuals.tolist()
-    # Available particles per column.
+    # Available particles per column; they rank first among its particles.
     live = np.ones(n_columns, dtype=np.intp) if counts is None else counts.copy()
-    # Absolute ranks, in index order, of each column's taken particles.
-    taken: dict[int, list[int]] = {}
     picks: list[int] = []
-    ranks: list[int] = []
     log_total = 0.0
     for p in range(n_factors):
         total, lost = gross[p], float(retired[p])
@@ -446,53 +429,37 @@ def estimate_recycle(
         # available mass underflows beside a taken maximum to the exact
         # step, which re-shifts it.
         if total > 0.0 and lost + lost <= total:
-            rank = min(int(residuals[p] / first_units[p]), first_counts[p] - 1)
-            column_taken = taken.setdefault(c, [])
-            if rank not in column_taken:
+            if min(int(residuals[p] / first_units[p]), first_counts[p] - 1) < live[c]:
                 log_total += shifts[p] + math.log((total - lost) / (n_particles - p))
                 live[c] -= 1
-                bisect.insort(column_taken, rank)
                 picks.append(c)
-                ranks.append(rank)
                 continue
             # The first try fell in the taken share of the mass, so the pick
             # is drawn afresh over the available share.
             u = rng.random()
-        log_average, picked, rank = _exact_step(lv[p], shifts[p], live, u, n_particles - p)
+        log_average, picked = _exact_step(lv[p], shifts[p], live, u, n_particles - p)
         log_total += log_average
-        # Rank among the column's available particles -> among all of them.
-        column_taken = taken.setdefault(picked, [])
-        for position in column_taken:
-            if position <= rank:
-                rank += 1
-        bisect.insort(column_taken, rank)
         live[picked] -= 1
         picks.append(picked)
-        ranks.append(rank)
         if picked != c and p + 1 < n_factors:
             later = slice(p + 1, n_factors)
             retired[later] += np.exp(lv[later, picked] - shift[later]) - unit[later, p]
-    if matrix.columns is not None:
-        picks = _particles_of_picks(matrix.columns, n_columns, picks, ranks)
-    return LogEstimate(log_total), SelectionTrace(tuple(picks))
+    return LogEstimate(log_total), tuple(picks)
 
 
 def _exact_step(
     row: np.ndarray, shift: float, live: np.ndarray, u: float, n_available: int
-) -> tuple[float, int, int]:
+) -> tuple[float, int]:
     """One recycle step over the available particles, from the uniform ``u``.
 
     ``row`` holds one factor's log potentials and ``shift`` its maximum;
     ``live[c]`` counts column c's available particles, so column c weighs
-    ``exp(row[c] - shift) * live[c]``.  Returns the log factor average, the
-    column drawn and the rank of the particle taken among that column's
-    available ones.
+    ``exp(row[c] - shift) * live[c]``.  Returns the log factor average and
+    the column drawn.
     """
     total = 0.0
     if shift > -np.inf:
-        weights = np.exp(row - shift)
-        weights *= live
-        running = weights.cumsum()
+        running = (np.exp(row - shift) * live).cumsum()
         total = running[-1]
         if total < _MIN_WEIGHT_TOTAL:
             # The row maximum is taken and the available weights have
@@ -502,47 +469,15 @@ def _exact_step(
             row = np.where(live > 0, row, -np.inf)
             shift = row.max()
             if shift > -np.inf:
-                weights = np.exp(row - shift)
-                weights *= live
-                running = weights.cumsum()
+                running = (np.exp(row - shift) * live).cumsum()
                 total = running[-1]
     if total > 0.0:
         # u * total lies below the total, so the column found has a positive
-        # weight; the residual is uniform over it and ranks one of its
-        # available particles.
-        target = u * total
-        c = int(running.searchsorted(target, "right"))
-        if c:
-            target -= running[c - 1]
-        count = int(live[c])
-        rank = min(int(target / weights[c] * count), count - 1)
-        return shift + math.log(total) - math.log(n_available), c, rank
-    rank = int(u * n_available)
-    running = live.cumsum()
-    c = int(running.searchsorted(rank, "right"))
-    if c:
-        rank -= int(running[c - 1])
-    return -np.inf, c, rank
-
-
-def _particles_of_picks(
-    columns: np.ndarray, n_columns: int, picks: list[int], ranks: list[int]
-) -> list[int]:
-    """Particle index of each (column, rank) pick of a compressed matrix.
-
-    A pick takes the rank-th, in index order, of all its column's
-    particles.  Only the particles of picked columns are gathered.
-    """
-    n_particles = columns.size
-    chosen = np.zeros(n_columns, dtype=bool)
-    chosen[picks] = True
-    members = np.flatnonzero(chosen[columns])
-    # Sorted (column, particle) keys list each picked column's particles
-    # together, in index order.
-    keys = columns[members] * n_particles + members
-    keys.sort()
-    firsts = np.multiply(picks, n_particles)
-    return (keys[keys.searchsorted(firsts) + ranks] - firsts).tolist()
+        # weight.
+        c = int(running.searchsorted(u * total, "right"))
+        return shift + math.log(total) - math.log(n_available), c
+    # Every available particle vanishes: the column of a uniform one.
+    return -np.inf, int(live.cumsum().searchsorted(u * n_available, "right"))
 
 
 def estimate_perm_exact(

@@ -121,14 +121,16 @@ class ProposalSpec:
     def from_covariance(cls, covariance) -> "ProposalSpec":
         """Factor a covariance, adding recorded diagonal jitter if needed.
 
-        The matrix must be symmetric to 1e-12; it is symmetrized before
-        factoring.  When the Cholesky factorization fails, a jitter of
-        1e-8 times trace / dim (or 1e-8 itself for a zero matrix) is added
-        to the diagonal and recorded.
+        The matrix must be finite and symmetric to 1e-12; it is
+        symmetrized before factoring.  When the Cholesky factorization
+        fails, a jitter of 1e-8 times trace / dim (or 1e-8 itself for a
+        zero matrix) is added to the diagonal and recorded.
         """
         covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
         if covariance.shape[0] != covariance.shape[1]:
             raise DimensionError(f"covariance must be square, got {covariance.shape}")
+        if not np.isfinite(covariance).all():
+            raise ValueError("covariance must be finite")
         if np.abs(covariance - covariance.T).max() > 1e-12:
             raise ValueError("covariance is not symmetric within 1e-12")
         covariance = (covariance + covariance.T) / 2.0
@@ -304,7 +306,10 @@ def initial_proposal(theta, rel_step: float = 0.05) -> ProposalSpec:
         raise ValueError(f"rel_step must be finite and positive, got {rel_step}")
     theta = np.asarray(theta, dtype=float)
     scales = rel_step * (1.0 + np.abs(theta))
-    return ProposalSpec.from_covariance(np.diag(scales**2))
+    # A variance that overflows to inf is rejected by from_covariance.
+    with np.errstate(over="ignore"):
+        variances = scales**2
+    return ProposalSpec.from_covariance(np.diag(variances))
 
 
 def tune_proposal(

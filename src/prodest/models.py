@@ -25,7 +25,8 @@ the particle count.  It hands the estimators a compressed
 column; float latents (g-and-k) get the full matrix.  The compressed
 matrix gives the same estimates, bit for bit, for ``simple``, ``biased``
 and ``perm``, and the same law, but not the same fixed-seed stream, for
-``recycle`` (see "Recycle kernel" in ``estimators``).
+``recycle``, which retires columns, that is latent values, rather than
+particles (see "Recycle kernel" in ``estimators``).
 
 Included models: the g-and-k quantile distribution observed through a
 uniform perturbation (indicator potentials), the Poisson-Beta count
@@ -36,6 +37,7 @@ with tractable likelihood used for exactness checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,6 +80,9 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # Emission law of ``TwoStateLatentModel``: kernel[state, symbol].
 _TWO_STATE_KERNEL = np.array([[0.75, 0.25], [0.25, 0.75]])
 _TWO_STATE_KERNEL.flags.writeable = False
+
+# Largest observation magnitude ``PoissonBetaModel`` accepts.
+_MAX_COUNT_OBSERVATION = 1e154
 
 # Widest latent range, in multiples of the particle count, that
 # ``_distinct_values`` tabulates instead of sorting.
@@ -125,8 +130,14 @@ def gandk_quantile_transform(z, params: GandKParams):
 
 
 def _check_scale(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    # The models square their scale parameters, so the square must be a
+    # finite, normal double: about 1.5e-154 < value < 1.3e154.
+    value = float(value)
+    if not (value > 0.0 and sys.float_info.min <= value * value < math.inf):
+        raise ValueError(
+            f"{name} must be finite and positive with a finite, normal square "
+            f"(about 1.5e-154 to 1.3e154), got {value}"
+        )
 
 
 def gandk_simulate_data(
@@ -178,9 +189,15 @@ def sample_poisson_beta(params: PoissonBetaParams, rng: np.random.Generator, siz
 
 
 def normal_log_potential(x, center: float, sigma: float):
-    """Gaussian observation density around a latent count, in logs."""
+    """Gaussian observation density around a latent count, in logs.
+
+    The squared distance must be finite.  Where its quotient by 2 sigma**2
+    passes the largest double, the log density lies below the most
+    negative double, and the entry is -inf, as for a vanishing potential.
+    """
     x = np.asarray(x, dtype=float)
-    return -((center - x) ** 2) / (2.0 * sigma**2) - math.log(sigma) - _HALF_LOG_TWO_PI
+    with np.errstate(over="ignore"):
+        return -((center - x) ** 2) / (2.0 * sigma**2) - math.log(sigma) - _HALF_LOG_TWO_PI
 
 
 @dataclass(frozen=True)
@@ -317,6 +334,15 @@ class PoissonBetaModel:
 
     def log_potentials(self, data) -> Callable:
         centers = _observation_column(data)
+        # Latent counts stay below 2**63, so the squared distance from any
+        # of them to such an observation is below the largest double.
+        outside = np.flatnonzero(np.abs(centers[:, 0]) > _MAX_COUNT_OBSERVATION)
+        if outside.size:
+            bad = int(outside[0])
+            raise ValueError(
+                f"observations must lie within +-{_MAX_COUNT_OBSERVATION:g}, "
+                f"got {centers[bad, 0]} at index {bad}"
+            )
         sigma = self.sigma
         return lambda x: normal_log_potential(np.asarray(x)[None, :], centers, sigma)
 

@@ -1,10 +1,15 @@
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prodest.cli import (
+    _ALLOWED_KEYS,
     ConfigError,
     Settings,
     Workspace,
@@ -264,6 +269,14 @@ def test_oracle_unknown_fixture_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oracle_latent_fixture_without_observations_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, "fixture = d4\nn_obs = 0\n")
+    out = tmp_path / "results"
+    assert run(["oracle", "--config", config, "--out", out]) == 2
+    assert "n_obs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ tune run
 
 
@@ -383,6 +396,7 @@ def test_mcmc_staged_pilots(tmp_path):
         ("burn_in = 1", "burn_in must lie in [0, 1)"),
         ("burn_in = -0.5", "burn_in must lie in [0, 1)"),
         ("burn_in = nan", "burn_in must lie in [0, 1)"),
+        ("rel_step = 1e300", "covariance must be finite"),
     ],
 )
 def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
@@ -404,6 +418,8 @@ def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
     [
         ("chain_length = 0", "chain_length must be >= 1"),
         ("burn_in = 1\npilot_length = 0", "burn_in must lie in [0, 1)"),
+        ("model = gandk\ntheta = 3, 1, 2, 11\nn_obs = 5", "outside the prior's support"),
+        ("model = poisson-beta\ntheta = 500, 2, 8\nsigma = 1e200", "sigma must be finite"),
     ],
 )
 def test_mcmc_config_errors_exit_before_tuning(tmp_path, capsys, monkeypatch, key, message):
@@ -411,9 +427,10 @@ def test_mcmc_config_errors_exit_before_tuning(tmp_path, capsys, monkeypatch, ke
         pytest.fail("particle tuning ran before the configuration was checked")
 
     monkeypatch.setattr("prodest.cli.tune_particle_count", fail)
+    lines = {"model": "two-state", "theta": "0.7", "n_obs": "10", "estimator": "recycle"}
+    lines.update(line.split(" = ") for line in key.split("\n"))
     config = write_config(
-        tmp_path,
-        f"model = two-state\ntheta = 0.7\nn_obs = 10\nestimator = recycle\n{key}\n",
+        tmp_path, "".join(f"{name} = {value}\n" for name, value in lines.items())
     )
     out = tmp_path / "results"
     assert run(["mcmc", "--config", config, "--seed", 5, "--out", out]) == 2
@@ -436,6 +453,20 @@ def test_mcmc_exact_estimator_and_determinism(tmp_path):
     summary = json.loads((tmp_path / "a" / "mcmc_summary.json").read_text())
     assert summary["n_particles"] is None
     assert summary["pilot"] is None
+
+
+@pytest.mark.parametrize("init", ["theta", "prior"])
+def test_mcmc_fixture_exits_2(tmp_path, capsys, monkeypatch, init):
+    # A fixture has no parameter to sample.
+    def fail(*args, **kwargs):
+        pytest.fail("particle tuning ran before the configuration was checked")
+
+    monkeypatch.setattr("prodest.cli.tune_particle_count", fail)
+    config = write_config(tmp_path, f"fixture = d1\ninit = {init}\n")
+    out = tmp_path / "results"
+    assert run(["mcmc", "--config", config, "--out", out]) == 2
+    assert "unknown config keys for 'mcmc': fixture" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- errors
@@ -470,9 +501,19 @@ def test_estimate_indivisible_simple_blocks_exit_2(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-@pytest.mark.parametrize("where", ["data", "theta", "scale"])
-@pytest.mark.parametrize("model", ["gandk", "poisson-beta"])
+# A scale whose square overflows or leaves the normal doubles is rejected
+# as well: the models square it.
+@pytest.mark.parametrize(
+    "model, where, bad",
+    [
+        (model, where, bad)
+        for model in ("gandk", "poisson-beta")
+        for where in ("data", "theta", "scale")
+        for bad in ("nan", "inf")
+    ]
+    + [(model, "scale", bad) for model in ("gandk", "poisson-beta") for bad in ("1e200", "1e-200")]
+    + [("poisson-beta", "data", "1e300")],
+)
 def test_estimate_non_finite_input_exits_2(tmp_path, capsys, model, where, bad):
     observations = ["1.5", "2.5", "3.5"]
     theta = {"gandk": ["3", "1", "2", "0.5"], "poisson-beta": ["500", "2", "8"]}[model]
@@ -490,9 +531,15 @@ def test_estimate_non_finite_input_exits_2(tmp_path, capsys, model, where, bad):
         + scale,
     )
     out = tmp_path / "results"
-    assert run(["estimate", "--config", config, "--out", out,
-                "--replicates", 4]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["estimate", "--config", config, "--out", out,
+                    "--replicates", 4]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # A count observation must also keep its squared distance to any
+    # latent count finite.
+    message = "must lie within" if bad == "1e300" else "must be finite"
+    assert message in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -510,3 +557,209 @@ def test_mcmc_exact_flag_is_config_only(tmp_path, capsys):
         run(["mcmc", "--config", config, "--estimator", "exact",
              "--out", tmp_path / "x"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------- fuzz
+
+# Odd value texts: zero, negative, non-finite, huge and tiny numbers, and
+# text that is no number at all.
+_ODD = ["0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "many"]
+
+
+def _floats(low, high):
+    return st.floats(low, high).map(repr)
+
+
+def _counts(high):
+    """A valid count key; ``high`` keeps every run small."""
+    return st.integers(1, high).map(str)
+
+
+# A valid value per key; theta depends on the model and is drawn apart.
+_VALID = {
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "model": st.sampled_from(["gandk", "poisson-beta", "two-state"]),
+    "fixture": st.sampled_from(["d1", "d3"]),
+    "n_obs": _counts(3),
+    "data": st.just("obs.dat"),
+    "epsilon": _floats(0.05, 3.0),
+    "sigma": _floats(0.5, 50.0),
+    "unit_noise": st.sampled_from(["true", "false"]),
+    "estimator": st.sampled_from(["recycle", "simple", "perm", "biased", "exact"]),
+    "n_particles": _counts(8),
+    "replicates": st.integers(2, 5).map(str),
+    "block_size": _counts(8),
+    "target": _floats(0.05, 10.0),
+    "max_particles": st.integers(4, 64).map(str),
+    "chain_length": _counts(5),
+    # Long enough for a g-and-k pilot covariance after the burn-in.
+    "pilot_length": st.sampled_from(["0", "10", "12"]),
+    "pilot_stages": _counts(3),
+    "burn_in": _floats(0.0, 0.5),
+    "tune_replicates": st.integers(2, 5).map(str),
+    "proposal_scale": st.sampled_from(["literal", "squared"]),
+    "rel_step": _floats(0.001, 1.0),
+    "init": st.sampled_from(["theta", "prior"]),
+}
+
+_THETA = {
+    "gandk": st.tuples(*[_floats(0.1, 9.9)] * 4),
+    "poisson-beta": st.tuples(_floats(1.0, 1000.0), _floats(0.5, 10.0), _floats(0.5, 10.0)),
+    "two-state": st.tuples(_floats(0.05, 0.95)),
+}
+
+# Odd values beyond _ODD for keys that take words or lists.
+_ODD_WORDS = {
+    "model": ["ising"],
+    "fixture": ["d9"],
+    "data": ["missing.dat", "odd.dat"],
+    "estimator": ["warp"],
+    "unit_noise": ["maybe"],
+    "proposal_scale": ["cubed"],
+    "init": ["origin"],
+    "seed": [str(2**64), "0x10"],
+    "theta": ["1, 2", "3, 1, 2, 0.5, 9", "1e300, 1, 1, 1"],
+}
+
+# Keys whose defaults make a run large; a generated config always sets
+# them, to a valid small count or to an odd value that is never huge.
+_SIZE_KEYS = {"replicates", "max_particles", "chain_length", "pilot_length", "tune_replicates"}
+_SIZE_ODD = ["0", "-3", "2.5", "nan", "inf", "many"]
+_PROBLEM = {"model", "theta", "n_obs", "data"}
+
+_OUTPUTS = {
+    "estimate": {"estimates.csv", "estimate_summary.json"},
+    "oracle": {"oracle.csv"},
+    "tune": {"tune.json"},
+    "mcmc": {"trace.csv", "mcmc_summary.json"},
+}
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, config values, observation files) for one small run.
+
+    Each allowed key is set to a valid value or left out; then up to two
+    keys, or an unknown one, get an odd value, so about a third of the
+    runs are valid ones.
+    """
+    command = draw(st.sampled_from(sorted(_OUTPUTS)))
+    allowed = sorted(_ALLOWED_KEYS[command] - {"out"})
+    values = {
+        key: draw(_VALID[key])
+        for key in allowed
+        if key not in ("fixture", "theta", "n_obs")
+        and (key in _SIZE_KEYS or draw(st.booleans()))
+    }
+    if command == "oracle":
+        values["fixture"] = draw(st.sampled_from(["d1", "d3", "d4"]))
+        if values["fixture"] == "d4" and draw(st.booleans()):
+            values["n_obs"] = draw(_VALID["n_obs"])
+    elif draw(st.booleans()):
+        values["fixture"] = draw(_VALID["fixture"])
+        for key in _PROBLEM:
+            values.pop(key, None)
+    else:
+        values["n_obs"] = draw(_VALID["n_obs"])
+        model = values.get("model", "gandk")
+        if draw(st.booleans()):
+            values["theta"] = ", ".join(draw(_THETA[model]))
+    if values.get("estimator") == "exact" and values.get("model") != "two-state":
+        del values["estimator"]
+    for key in draw(st.lists(st.sampled_from(allowed + ["mystery"]), max_size=2, unique=True)):
+        odd = _SIZE_ODD if key in _SIZE_KEYS else _ODD + _ODD_WORDS.get(key, [])
+        values[key] = draw(st.sampled_from(odd))
+    observations = st.lists(
+        st.sampled_from(["1.5", "2", "0", "-3", "4.25"]), min_size=1, max_size=3
+    )
+    files = {"obs.dat": draw(observations), "odd.dat": [draw(st.sampled_from(_ODD + [""]))]}
+    return command, values, files
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# prodest ")
+    width = len(lines[1].split(","))
+    assert all(len(line.split(",")) == width for line in lines[2:])
+    return len(lines) - 2
+
+
+def _run_config(command, values, files=None):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        for name, lines in (files or {}).items():
+            (scratch / name).write_text("".join(f"{line}\n" for line in lines))
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        config = write_config(scratch, text)
+        out = scratch / "results"
+        code = run([command, "--config", config, "--out", out])
+        written = {path.name for path in out.iterdir()} if out.exists() else set()
+        if code:
+            assert code in (1, 2)
+            assert not written
+            return code
+        assert written == _OUTPUTS[command]
+        summaries = {
+            name: json.loads((out / name).read_text()) for name in written if name.endswith(".json")
+        }
+        if command == "estimate":
+            rows = summaries["estimate_summary.json"]["replicates"]
+            assert _csv_rows(out / "estimates.csv") == rows
+        elif command == "mcmc":
+            assert _csv_rows(out / "trace.csv") == summaries["mcmc_summary.json"]["chain_length"]
+        elif command == "oracle":
+            assert _csv_rows(out / "oracle.csv") == 1
+        return code
+
+
+# Configs that once crashed, warned or ran on, with their observation
+# files; the tests above check that each exits 2.
+_CONFIG_ERRORS = [
+    ("oracle", {"fixture": "d4", "n_obs": "0"}, None),
+    ("mcmc", {"fixture": "d1", "init": "theta"}, None),
+    ("mcmc", {"fixture": "d1", "init": "prior"}, None),
+    (
+        "mcmc",
+        {"model": "gandk", "theta": "3, 1, 2, 11", "n_obs": "3", "chain_length": "5",
+         "pilot_length": "5", "tune_replicates": "5", "max_particles": "64"},
+        None,
+    ),
+    ("estimate", {"model": "poisson-beta", "sigma": "1e200", "n_obs": "3", "replicates": "5"}, None),
+    (
+        "mcmc",
+        {"model": "poisson-beta", "sigma": "1e200", "n_obs": "3", "n_particles": "8",
+         "chain_length": "5", "pilot_length": "5"},
+        None,
+    ),
+    ("estimate", {"model": "poisson-beta", "sigma": "1e-200", "n_obs": "3", "replicates": "5"}, None),
+    ("estimate", {"model": "gandk", "epsilon": "1e200", "n_obs": "3", "replicates": "5"}, None),
+    (
+        "mcmc",
+        {"model": "two-state", "n_obs": "3", "n_particles": "8", "chain_length": "5",
+         "pilot_length": "0", "rel_step": "1e300"},
+        None,
+    ),
+    (
+        "estimate",
+        {"model": "poisson-beta", "data": "obs.dat", "n_particles": "4", "replicates": "5"},
+        {"obs.dat": ["2", "1e300"]},
+    ),
+]
+
+
+def _with_config_error_examples(test):
+    for case in _CONFIG_ERRORS:
+        test = example(case)(test)
+    return test
+
+
+@_with_config_error_examples
+@given(_cli_runs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_cleanly(case):
+    # Any config either completes with every output in place or exits 1
+    # or 2 with nothing left behind, temporary files included.  A numpy
+    # RuntimeWarning raised inside the package is an error under the test
+    # settings, so it fails here too.
+    _run_config(*case)
+

@@ -13,7 +13,6 @@ from prodest.estimators import (
     LogEstimate,
     PotentialMatrix,
     PotentialValueError,
-    SelectionTrace,
     estimate_biased,
     estimate_perm_exact,
     estimate_recycle,
@@ -98,14 +97,6 @@ def test_log_estimate_values():
         LogEstimate(math.inf)
 
 
-def test_selection_trace_validation():
-    assert len(SelectionTrace((2, 0, 1))) == 3
-    with pytest.raises(ValueError):
-        SelectionTrace((1, 1))
-    with pytest.raises(ValueError):
-        SelectionTrace((-1,))
-
-
 # ---------------------------------------------------------- block and biased
 
 
@@ -142,9 +133,9 @@ def test_biased_hand_value():
 
 
 def test_recycle_hand_value_and_trace():
-    estimate, trace = estimate_recycle(CROSS, make_stream(0))
+    estimate, picks = estimate_recycle(CROSS, make_stream(0))
     assert estimate.log_value == pytest.approx(math.log(0.5))
-    assert tuple(trace.indices) == (0, 1)
+    assert picks == (0, 1)
 
 
 def test_recycle_disjoint_columns_match_perm():
@@ -162,19 +153,19 @@ def test_recycle_disjoint_columns_match_perm():
 
 def test_recycle_constant_rows_exact():
     matrix = PotentialMatrix(np.full((3, 5), math.log(2.0)))
-    estimate, trace = estimate_recycle(matrix, make_stream(11))
+    estimate, picks = estimate_recycle(matrix, make_stream(11))
     assert estimate.log_value == pytest.approx(3.0 * math.log(2.0), rel=1e-14)
-    assert len(set(trace.indices)) == 3
+    assert len(set(picks)) == 3
 
 
 def test_recycle_zero_row_returns_zero_with_full_trace():
     matrix = PotentialMatrix(
         np.array([[NEG_INF] * 3, [0.0, 0.0, 0.0]])
     )
-    estimate, trace = estimate_recycle(matrix, make_stream(4))
+    estimate, picks = estimate_recycle(matrix, make_stream(4))
     assert estimate.log_value == NEG_INF
-    assert len(trace.indices) == 2
-    assert len(set(trace.indices)) == 2
+    assert len(picks) == 2
+    assert len(set(picks)) == 2
 
 
 def test_recycle_deterministic_given_stream():
@@ -183,7 +174,7 @@ def test_recycle_deterministic_given_stream():
     first = estimate_recycle(matrix, make_stream(21, 5))
     second = estimate_recycle(matrix, make_stream(21, 5))
     assert first[0].log_value == second[0].log_value
-    assert tuple(first[1].indices) == tuple(second[1].indices)
+    assert first[1] == second[1]
 
 
 def test_recycle_golden_pin():
@@ -194,9 +185,9 @@ def test_recycle_golden_pin():
     rng = np.random.default_rng(2024)
     values = rng.normal(scale=2.0, size=(5, 40))
     values[rng.random((5, 40)) < 0.4] = NEG_INF
-    estimate, trace = estimate_recycle(PotentialMatrix(values), make_stream(7, 1))
+    estimate, picks = estimate_recycle(PotentialMatrix(values), make_stream(7, 1))
     assert estimate.log_value == pytest.approx(6.214616789614282, rel=1e-14)
-    assert tuple(trace.indices) == (31, 27, 26, 21, 4)
+    assert picks == (31, 27, 26, 21, 4)
 
 
 def test_recycle_multi_block_golden_pin():
@@ -208,9 +199,9 @@ def test_recycle_multi_block_golden_pin():
     values = rng.normal(scale=3.0, size=(12, 333))
     values[rng.random((12, 333)) < 0.3] = NEG_INF
     values[:, 5] = 12.0
-    estimate, trace = estimate_recycle(PotentialMatrix(values), make_stream(9, 2))
+    estimate, picks = estimate_recycle(PotentialMatrix(values), make_stream(9, 2))
     assert estimate.log_value == pytest.approx(51.60297854390586, rel=1e-14)
-    assert tuple(trace.indices) == (
+    assert picks == (
         5, 48, 199, 65, 265, 43, 308, 170, 141, 266, 207, 78
     )
 
@@ -232,10 +223,10 @@ def test_recycle_underflow_after_retired_maximum():
     )
     rng = make_stream(19)
     for _ in range(20):
-        estimate, trace = estimate_recycle(matrix, rng)
+        estimate, picks = estimate_recycle(matrix, rng)
         assert estimate.log_value == pytest.approx(expected, rel=1e-14)
-        assert trace.indices[0] == 0
-        assert 1 <= trace.indices[1] < n_particles
+        assert picks[0] == 0
+        assert 1 <= picks[1] < n_particles
 
 
 def test_single_factor_estimators_agree():
@@ -255,7 +246,7 @@ def _picks(matrix, stream_seed, n_draws, factor):
     """The column factor ``factor`` retires, over repeated recycled estimates."""
     rng = make_stream(stream_seed)
     return np.array(
-        [estimate_recycle(matrix, rng)[1].indices[factor] for _ in range(n_draws)]
+        [estimate_recycle(matrix, rng)[1][factor] for _ in range(n_draws)]
     )
 
 
@@ -285,8 +276,8 @@ def test_recycle_single_remaining_candidate():
     )
     rng = make_stream(15)
     for _ in range(10):
-        estimate, trace = estimate_recycle(matrix, rng)
-        assert tuple(trace.indices) == (0, 2, 1)
+        estimate, picks = estimate_recycle(matrix, rng)
+        assert picks == (0, 2, 1)
         assert estimate.log_value == NEG_INF
 
 
@@ -296,9 +287,9 @@ def test_recycle_never_redraws_retired_column():
     matrix = PotentialMatrix(np.tile(np.log([5e6, 1.0, 1.0, 1.0]), (3, 1)))
     rng = make_stream(17)
     for _ in range(20):
-        _, trace = estimate_recycle(matrix, rng)
-        assert trace.indices[0] == 0
-        assert len(set(trace.indices)) == 3
+        _, picks = estimate_recycle(matrix, rng)
+        assert picks[0] == 0
+        assert len(set(picks)) == 3
 
 
 # ------------------------------------------------------------ tied particles
@@ -334,19 +325,22 @@ def _log_sum(log_values):
 
 
 def _assert_pick_law(matrix, step, n_cells=10_000):
-    """Step ``step`` picks each available particle with probability w_j / (W - R).
+    """Step ``step`` retires column c with probability live_c w_c / (W - R).
 
-    w_j is the step's potential at particle j, W its total over all
-    particles and R its total over those the earlier steps took; earlier
-    steps get the uniform 0.5 and must be deterministic.  The matrix is cut
-    after the step, so its draws are the last ones.  Over a grid of first
-    uniforms, each available particle takes w_j / W of the cells and the
-    share R / W that lands on taken particles draws a fresh uniform; a
-    second grid over that uniform gives w_j / (W - R).  When R exceeds W / 2,
-    or the step vanishes on every particle, nothing is drawn afresh and the
-    first grid gives w_j / (W - R), or a uniform pick, directly.  Each
-    particle covers one range of a uniform, so each share is exact up to a
-    cell at either end; the taken particles may cover one range each.
+    w_c is the step's potential at column c, live_c the number of the
+    column's particles that the earlier steps left available, W the step's
+    total over all particles and R its total over those the earlier steps
+    took; earlier steps get the uniform 0.5 and must be deterministic.  The
+    matrix is cut after the step, so its draws are the last ones.  Over a
+    grid of first uniforms, each column takes live_c w_c / W of the cells
+    and the share R / W that lands on taken particles draws a fresh
+    uniform; a second grid over that uniform gives live_c w_c / (W - R).
+    When R exceeds W / 2, or the step vanishes on every particle, nothing
+    is drawn afresh and the first grid gives live_c w_c / (W - R), or
+    live_c / (n_particles - step), directly.  A column's available
+    particles rank before its taken ones, so each column's share covers one
+    range of a uniform and is exact up to a cell at either end; the taken
+    particles may cover one range per column.
 
     Returns R / W.
     """
@@ -355,18 +349,19 @@ def _assert_pick_law(matrix, step, n_cells=10_000):
     if step:
         earlier = PotentialMatrix(matrix.log_values[:step], matrix.columns)
         probe = _Uniforms([0.5] * (2 * step))
-        before = estimate_recycle(earlier, probe)[1].indices
+        before = estimate_recycle(earlier, probe)[1]
         n_fresh = probe.drawn - step
-    log_weights = matrix.expanded()[step]
-    taken = np.zeros(matrix.n_particles, dtype=bool)
-    taken[list(before)] = True
-    available = np.where(taken, NEG_INF, log_weights)
+    log_weights = matrix.log_values[step]
+    counts = matrix.column_counts
+    taken = np.bincount(np.array(before, dtype=np.intp), minlength=counts.size)
+    live = counts - taken
+    available = log_weights + _log(live)
     if _log_sum(available) == NEG_INF:
-        law = (~taken) / (~taken).sum()
+        law = live / live.sum()
     else:
         law = np.exp(available - _log_sum(available))
-    total = _log_sum(log_weights)
-    share = 0.0 if total == NEG_INF else math.exp(_log_sum(log_weights[taken]) - total)
+    total = _log_sum(log_weights + _log(counts))
+    share = 0.0 if total == NEG_INF else math.exp(_log_sum(log_weights + _log(taken)) - total)
     redrawn = share if share <= 0.5 else 0.0
 
     cut = PotentialMatrix(matrix.log_values[: step + 1], matrix.columns)
@@ -374,44 +369,46 @@ def _assert_pick_law(matrix, step, n_cells=10_000):
 
     def pick(first, fresh):
         uniforms = _Uniforms([0.5] * step + [first] + [0.5] * n_fresh + [fresh])
-        trace = estimate_recycle(cut, uniforms)[1]
-        assert trace.indices[:step] == tuple(before)
-        return trace.indices[step], uniforms.drawn > n_drawn
+        picks = estimate_recycle(cut, uniforms)[1]
+        assert picks[:step] == before
+        return picks[step], uniforms.drawn > n_drawn
 
     grid = (np.arange(n_cells) + 0.5) / n_cells
-    counts = np.zeros(matrix.n_particles)
+    picked = np.zeros(counts.size)
     fresh_cells = []
     for u in grid:
-        particle, fresh = pick(u, 0.5)
+        column, fresh = pick(u, 0.5)
         if fresh:
             fresh_cells.append(u)
         else:
-            counts[particle] += 1
-    assert np.abs(counts / n_cells - law * (1.0 - redrawn)).max() <= 2.0 / n_cells
+            picked[column] += 1
+    assert np.abs(picked / n_cells - law * (1.0 - redrawn)).max() <= 2.0 / n_cells
     assert abs(len(fresh_cells) / n_cells - redrawn) <= 2.0 * max(step, 1) / n_cells
     if fresh_cells:
-        counts = np.zeros(matrix.n_particles)
+        picked = np.zeros(counts.size)
         for v in grid:
-            counts[pick(fresh_cells[len(fresh_cells) // 2], v)[0]] += 1
-        assert np.abs(counts / n_cells - law).max() <= 2.0 / n_cells
+            picked[pick(fresh_cells[len(fresh_cells) // 2], v)[0]] += 1
+        assert np.abs(picked / n_cells - law).max() <= 2.0 / n_cells
     return share
 
 
 def _assert_recycle_law(log_values, columns, seed, n_estimates=10_000):
     """Seeded estimates of the compressed matrix have the exact oracle's mean and second moment.
 
-    Returns the log values and traces; each trace must hold distinct
-    particle indices in range.
+    Returns the (log value, picks) pairs; each estimate must retire
+    n_factors columns in range, each at most its particle count times.
     """
     matrix = PotentialMatrix(log_values, columns)
+    counts = matrix.column_counts
     mean, second = recycle_conditional_moments(np.exp(log_values[:, columns]))
     rng = make_stream(seed, 1)
     results = []
     for _ in range(n_estimates):
-        estimate, trace = estimate_recycle(matrix, rng)
-        assert len(set(trace.indices)) == matrix.n_factors
-        assert all(0 <= i < matrix.n_particles for i in trace.indices)
-        results.append((estimate.log_value, trace.indices))
+        estimate, picks = estimate_recycle(matrix, rng)
+        assert len(picks) == matrix.n_factors
+        assert all(0 <= c < counts.size for c in picks)
+        assert (np.bincount(picks, minlength=counts.size) <= counts).all()
+        results.append((estimate.log_value, picks))
     _assert_moments(np.exp([log_value for log_value, _ in results]), mean, second)
     return results
 
@@ -512,7 +509,7 @@ def test_recycle_draws_a_block_then_one_uniform_per_redraw():
 
 def test_tied_recycle_law_after_underflow():
     # Value 0 is particle 1's alone and the only support of factor 0, so
-    # step 0 retires its whole column.  It is factor 1's maximum by 800+
+    # step 0 retires its whole column, column 0.  It is factor 1's maximum by 800+
     # nats, so step 1 takes the exact step, which re-shifts over the
     # columns still available.
     columns = np.array([1, 0, 2, 1, 2])
@@ -531,8 +528,8 @@ def test_tied_recycle_law_after_underflow():
     with np.errstate(over="raise"):
         draws = []
         for _ in range(10_000):
-            estimate, trace = estimate_recycle(matrix, rng)
-            assert trace.indices[0] == 1
+            estimate, picks = estimate_recycle(matrix, rng)
+            assert picks[0] == 0
             draws.append(estimate.log_value + 800.0)
         _assert_moments(np.exp(draws), mean, second)
         assert _assert_pick_law(matrix, 1) == 1.0
@@ -540,7 +537,8 @@ def test_tied_recycle_law_after_underflow():
 
 def test_tied_recycle_law_on_vanishing_factor():
     # Factor 0 vanishes on every particle: the estimate is zero and the
-    # step falls back to a uniform pick over all five particles.
+    # step falls back to a uniform pick over all five particles, so it
+    # retires each column in proportion to its particle count.
     columns = np.array([0, 1, 1, 0, 2])
     log_values = np.array([[NEG_INF] * 3, [0.4, -0.3, 0.0], [0.1, NEG_INF, -2.0]])
     results = _assert_recycle_law(log_values, columns, 33, n_estimates=2_000)
@@ -551,30 +549,31 @@ def test_tied_recycle_law_on_vanishing_factor():
 
 @pytest.mark.parametrize("n_columns", [65, 129])
 def test_tied_recycle_law_across_padding(n_columns):
-    # With every uniform just below 1, each first try takes the last
-    # particle of the last column, which is taken after step 0, and each
-    # exact step then takes the last available one: never a particle past
-    # the end or one already taken.  Particle j belongs to column j // 2,
-    # so the picks run down the particles.
+    # With every uniform just below 1, each first try takes the last rank
+    # of the last column, which ranks a taken particle from step 1 on, and
+    # each exact step then takes the last column with a particle available:
+    # never a column past the end or one already used up.  Particle j
+    # belongs to column j // 2, so the picks run down the particles' columns.
     n_particles = 2 * n_columns
     columns = np.arange(n_particles) // 2
     rng = np.random.default_rng(n_columns)
     log_values = rng.normal(size=(n_columns, n_columns))
     matrix = PotentialMatrix(log_values, columns)
-    estimate, trace = estimate_recycle(matrix, _TopUniform())
-    assert tuple(trace.indices) == tuple(range(n_particles - 1, n_particles - n_columns - 1, -1))
+    estimate, picks = estimate_recycle(matrix, _TopUniform())
+    assert picks == tuple(j // 2 for j in range(n_particles - 1, n_particles - n_columns - 1, -1))
     expanded = log_values[:, columns]
     expected = sum(
         np.logaddexp.reduce(expanded[p, : n_particles - p]) - math.log(n_particles - p)
         for p in range(n_columns)
     )
     assert estimate.log_value == pytest.approx(expected, rel=1e-12)
-    # Seeded streams pick distinct particles in range.
+    # Seeded streams retire each column in range at most twice.
     stream = make_stream(34, n_columns)
     for _ in range(20):
-        _, trace = estimate_recycle(matrix, stream)
-        assert len(set(trace.indices)) == n_columns
-        assert all(0 <= i < n_particles for i in trace.indices)
+        _, picks = estimate_recycle(matrix, stream)
+        assert len(picks) == n_columns
+        assert all(0 <= c < n_columns for c in picks)
+        assert np.bincount(picks).max() <= 2
 
 
 def test_tied_matrix_feeds_every_estimator_its_expanded_values():
@@ -742,13 +741,13 @@ def test_recycle_top_uniform_stays_in_range():
     # The pairwise row total exceeds the running cumsum's last entry here;
     # scaling the uniform by the former would pick a column past the end.
     row = np.array([0.0] + [-37.0] * 63)
-    estimate, trace = estimate_recycle(PotentialMatrix(row[None, :]), _TopUniform())
+    estimate, picks = estimate_recycle(PotentialMatrix(row[None, :]), _TopUniform())
     assert estimate.log_value == pytest.approx(math.log((1.0 + 63 * math.exp(-37.0)) / 64))
-    assert 0 <= trace.indices[0] < 64
+    assert 0 <= picks[0] < 64
     # With a second factor the pick must also land on an available column.
-    estimate, trace = estimate_recycle(PotentialMatrix(np.array([row, row])), _TopUniform())
+    estimate, picks = estimate_recycle(PotentialMatrix(np.array([row, row])), _TopUniform())
     assert math.isfinite(estimate.log_value)
-    assert len(set(trace.indices)) == 2 and all(0 <= k < 64 for k in trace.indices)
+    assert len(set(picks)) == 2 and all(0 <= k < 64 for k in picks)
 
 
 @pytest.mark.parametrize("n_particles", [65, 129])
@@ -757,8 +756,8 @@ def test_recycle_top_uniform_picks_stay_out_of_padding(n_particles):
     # available column, never one past the end or one already taken.
     rng = np.random.default_rng(n_particles)
     values = rng.normal(size=(n_particles, n_particles))
-    estimate, trace = estimate_recycle(PotentialMatrix(values), _TopUniform())
-    assert tuple(trace.indices) == tuple(range(n_particles - 1, -1, -1))
+    estimate, picks = estimate_recycle(PotentialMatrix(values), _TopUniform())
+    assert picks == tuple(range(n_particles - 1, -1, -1))
     expected = sum(
         np.logaddexp.reduce(values[p, : n_particles - p]) - math.log(n_particles - p)
         for p in range(n_particles)
@@ -805,12 +804,12 @@ def small_log_matrices(draw):
 @given(small_log_matrices(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_recycle_bounded_by_row_maxima(matrix, seed):
-    estimate, trace = estimate_recycle(matrix, make_stream(seed))
+    estimate, picks = estimate_recycle(matrix, make_stream(seed))
     bound = matrix.log_values.max(axis=1).sum()
     assert estimate.log_value <= bound + 1e-9
-    assert len(trace.indices) == matrix.n_factors
-    assert len(set(trace.indices)) == matrix.n_factors
-    assert all(0 <= k < matrix.n_particles for k in trace.indices)
+    assert len(picks) == matrix.n_factors
+    assert len(set(picks)) == matrix.n_factors
+    assert all(0 <= k < matrix.n_particles for k in picks)
 
 
 @given(small_log_matrices(), st.integers(0, 2**32 - 1))

@@ -141,6 +141,17 @@ def test_proposal_rejects_asymmetry():
         ProposalSpec.from_covariance(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_proposal_rejects_non_finite_covariance(where, bad):
+    # NaN and inf - inf make the symmetry check compare NaN, which is never
+    # above the tolerance; the finiteness check must catch them first.
+    covariance = np.eye(2)
+    covariance[where] = covariance[where[::-1]] = bad
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        ProposalSpec.from_covariance(covariance)
+
+
 def test_proposal_degenerate_covariance_gets_jitter():
     spec = ProposalSpec.from_covariance(np.zeros((2, 2)))
     assert spec.jitter > 0.0

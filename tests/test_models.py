@@ -188,6 +188,18 @@ def test_normal_potential_values():
     assert np.trapezoid(density, grid) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_normal_potential_below_the_double_range_is_minus_inf():
+    # The squared distance is finite, its quotient by 2 sigma**2 is not: the
+    # log density lies below the most negative double.  No warning is raised.
+    assert normal_log_potential(1e10, 0.0, 1e-150) == -math.inf
+    # A Poisson-Beta observation may lie 1e154 from zero, where the squared
+    # distance to any count stays finite, and no further.
+    far = PoissonBetaModel().log_potentials([-1e154, 3.0])(np.array([0, 2**62]))
+    assert np.isfinite(far).all()
+    with pytest.raises(ValueError, match="within"):
+        PoissonBetaModel().log_potentials([1.0, 1e300])
+
+
 # -------------------------------------------------------------------- priors
 
 
