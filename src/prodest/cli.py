@@ -24,6 +24,7 @@ code 2 flags configuration or validation problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -598,7 +599,9 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="prodest",
         description="Estimators and MCMC for products of expectations.",
@@ -619,11 +622,11 @@ def _parse_args(argv):
         sub.add_argument(
             "--estimator", choices=ESTIMATOR_KINDS, help="estimator kind override"
         )
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _run(args)
         return 0

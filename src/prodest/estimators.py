@@ -227,9 +227,11 @@ class PotentialMatrix:
     matrix.  ``estimate_recycle`` works on the compressed form directly:
     it weighs a column by potential times available particle count and
     retires columns, so it has the expanded matrix's law but not its
-    fixed-seed stream.  ``estimate_simple`` and ``estimate_biased`` read
-    the columns particle by particle and give the expanded matrix's
-    values bit for bit; ``estimate_perm_exact`` reads ``expanded()``.
+    fixed-seed stream.  ``estimate_simple`` reads its blocks of particles
+    in one gather and gives the expanded matrix's value bit for bit.
+    ``estimate_biased`` weighs a column by its count, at O(n_factors *
+    n_columns) cost, and gives the expanded matrix's value up to rounding.
+    ``estimate_perm_exact`` reads ``expanded()``.
 
     The constructor holds read-only copies, so the caller's arrays may
     change afterwards.  ``PotentialMatrix.adopt`` runs the same checks but
@@ -313,16 +315,20 @@ def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
             f"simple estimator needs n_particles divisible by n_factors, "
             f"got {n_particles} and {n_factors}"
         )
-    lv, columns = matrix.log_values, matrix.columns
+    columns = np.arange(n_particles) if matrix.columns is None else matrix.columns
+    # Row p of ``blocks`` is factor p's block, read in one gather.
+    blocks = matrix.log_values[
+        np.arange(n_factors)[:, None], columns.reshape(n_factors, block_size)
+    ]
+    shifts = blocks.max(axis=1)
+    if shifts.min() == -np.inf:
+        return LogEstimate(-np.inf)
+    blocks -= shifts[:, None]
+    np.exp(blocks, out=blocks)
     total = 0.0
     log_block = math.log(block_size)
-    for p in range(n_factors):
-        owned = slice(p * block_size, (p + 1) * block_size)
-        block = lv[p, owned] if columns is None else lv[p, columns[owned]]
-        shift = block.max()
-        if shift == -np.inf:
-            return LogEstimate(-np.inf)
-        total += shift + math.log(np.exp(block - shift).sum()) - log_block
+    for shift, mass in zip(shifts.tolist(), blocks.sum(axis=1).tolist()):
+        total += shift + math.log(mass) - log_block
     return LogEstimate(total)
 
 
@@ -331,17 +337,25 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
 
     Its expectation is a product over expected row averages, which differs
     from the target product whenever the same particle enters several
-    factors, so this is the (generally biased) reference point.
+    factors, so this is the (generally biased) reference point.  On a
+    compressed matrix each column counts once per particle, which costs
+    O(n_factors * n_columns).
     """
-    lv, columns = matrix.log_values, matrix.columns
+    lv, counts = matrix.log_values, matrix.column_counts
+    shifts = lv.max(axis=1)
+    if shifts.min() == -np.inf:
+        return LogEstimate(-np.inf)
+    # Rows in C order, so that each row is summed pairwise as a 1-d array.
+    weights = np.subtract(lv, shifts[:, None], order="C")
+    np.exp(weights, out=weights)
+    if counts is not None:
+        # Every particle of a column carries its weight.
+        weights *= counts
+    log_masses = shifts + np.log(weights.sum(axis=1))
     log_n = math.log(matrix.n_particles)
     total = 0.0
-    for p in range(matrix.n_factors):
-        row = lv[p] if columns is None else lv[p, columns]
-        shift = row.max()
-        if shift == -np.inf:
-            return LogEstimate(-np.inf)
-        total += float(shift + np.log(np.exp(row - shift).sum())) - log_n
+    for log_mass in log_masses.tolist():
+        total += log_mass - log_n
     return LogEstimate(total)
 
 

@@ -13,20 +13,28 @@ and the MCMC driver:
   returns a function mapping n_particles latents to the
   (n_obs, n_particles) log potential matrix in one broadcast, one row per
   observation; entry (p, j) may depend only on observation p and latent j
+* ``latent_keys(data)``, optional, which returns a function mapping
+  n_particles latents to integer keys such that latents with equal keys
+  have equal potential columns; without it a latent is its own key
 * ``simulate(theta, n_obs, rng)``, synthetic observations
 * ``default_prior()``
 
-``log_likelihood_estimator`` relies on that entry rule: for integer
-latents (Poisson-Beta counts, two-state states, fixture support points)
-it evaluates the potentials once per distinct value, found by a table
-over the latents' range or by a sort when that range is much wider than
-the particle count.  It hands the estimators a compressed
-``PotentialMatrix`` whose ``columns`` map each particle to its value's
-column; float latents (g-and-k) get the full matrix.  The compressed
-matrix gives the same estimates, bit for bit, for ``simple``, ``biased``
-and ``perm``, and the same law, but not the same fixed-seed stream, for
-``recycle``, which retires columns, that is latent values, rather than
-particles (see "Recycle kernel" in ``estimators``).
+``log_likelihood_estimator`` relies on the entry rule and the key rule.
+It evaluates the potentials once per distinct key, on one representative
+latent of that key (the latent itself when latents are their own keys),
+and hands the estimators a compressed ``PotentialMatrix`` whose
+``columns`` map each particle to its key's column.  The distinct keys
+are found by a table over their range or by a sort when that range is
+much wider than the particle count.  Integer latents (Poisson-Beta
+counts, two-state states, fixture support points) are their own keys.
+A g-and-k latent is keyed by its cell among the 2n interval ends: how
+many lower ends lie below it and upper ends at or below it, so a g-and-k
+matrix has at most 2n + 1 columns.  The compressed matrix gives
+the same estimates, bit for bit, for ``simple`` and ``perm``, up to
+rounding for ``biased``, which weighs each column by its particle count,
+and the same law, but not the same fixed-seed stream, for ``recycle``,
+which retires columns rather than particles (see "Recycle kernel" in
+``estimators``).
 
 Included models: the g-and-k quantile distribution observed through a
 uniform perturbation (indicator potentials), the Poisson-Beta count
@@ -88,10 +96,23 @@ _MAX_COUNT_OBSERVATION = 1e154
 # ``_distinct_values`` tabulates instead of sorting.
 _DENSE_SPAN = 4
 
+# The g-and-k parameters are checked against standard normal draws up to
+# this size.  numpy's generator stays below about 13.7, and no method
+# that maps a uniform double to a normal one passes about 38.5.
+_NORMAL_REACH = 40.0
+_HALF_MAX = sys.float_info.max / 2.0
+_LOG_HALF_MAX = math.log(_HALF_MAX)
+
 
 @dataclass(frozen=True)
 class GandKParams:
-    """Location a, scale b, skewness g and kurtosis k of the quantile transform."""
+    """Location a, scale b, skewness g and kurtosis k of the quantile transform.
+
+    All four must be finite, with b > 0, and such that every step of
+    ``gandk_quantile_transform`` stays finite for |z| <= 40: |g z|,
+    (1 + z**2)**k and |b * skew * (1 + z**2)**k * z| stay below half the
+    largest double, and so does |a|.
+    """
 
     a: float
     b: float
@@ -99,8 +120,23 @@ class GandKParams:
     k: float
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in (self.a, self.b, self.g, self.k)):
+            raise ValueError(f"g-and-k parameters must be finite, got {self}")
         if not self.b > 0:
             raise ValueError(f"scale b must be positive, got {self.b}")
+        # (1 + z**2)**k at |z| = 40, in logs; for k <= 0 it is at most 1.
+        log_power = max(self.k, 0.0) * math.log1p(_NORMAL_REACH**2)
+        log_spread = math.log(self.b * (1.0 + SKEWNESS_SCALE) * _NORMAL_REACH)
+        if not (
+            abs(self.a) < _HALF_MAX
+            and abs(self.g) * _NORMAL_REACH < _HALF_MAX
+            and max(log_power, log_power + log_spread) < _LOG_HALF_MAX
+        ):
+            raise ValueError(
+                f"g-and-k parameters would take the quantile transform past the "
+                f"double range for standard normal draws up to {_NORMAL_REACH:g}, "
+                f"got {self}"
+            )
 
 
 @dataclass(frozen=True)
@@ -304,6 +340,22 @@ class GandKModel:
         half_width = self.half_width
         return lambda x: interval_log_potential(np.asarray(x)[None, :], centers, half_width)
 
+    def latent_keys(self, data) -> Callable:
+        """Key a latent x by its cell: #{p: lo_p < x} + #{p: hi_p <= x}.
+
+        x lies in the open interval (lo_p, hi_p) when it is above lo_p and
+        below hi_p.  Above lo_p means at or above the next double up, so the
+        key counts the interval ends at or below x, with each lower end
+        moved up one double.  Those ends are a prefix of the sorted ends, so
+        the key fixes which intervals hold x, and with them x's potential
+        column.  There are at most 2n + 1 keys, in the order of the latents.
+        """
+        centers = _observation_column(data)[:, 0]
+        # The same doubles that ``interval_log_potential`` compares against.
+        lower = np.nextafter(centers - self.half_width, np.inf)
+        ends = np.sort(np.concatenate([lower, centers + self.half_width]))
+        return lambda x: ends.searchsorted(x, "right")
+
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         return gandk_simulate_data(
             self.params(theta), n_obs, self.half_width, rng, unit_noise=self.unit_noise
@@ -423,7 +475,7 @@ def _observation_column(data) -> np.ndarray:
 
 
 def _distinct_values(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(latents, return_inverse=True)`` for 1-d integer latents.
+    """``np.unique(latents, return_inverse=True)`` for 1-d latents or keys.
 
     When the latents span at most ``_DENSE_SPAN`` times their count, a
     presence table over [min, max] replaces the sort: the values are its
@@ -467,17 +519,20 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
             f"got {n_particles} and {n_obs}"
         )
     log_potential_matrix = model.log_potentials(data)
+    latent_keys = model.latent_keys(data) if hasattr(model, "latent_keys") else None
 
     def estimate(theta, rng: np.random.Generator) -> float:
         latents = np.asarray(model.sample_latent(theta, rng, size=n_particles))
+        keys = latents if latent_keys is None else latent_keys(latents)
+        # Evaluate the potentials once per distinct key.
+        values, columns = _distinct_values(keys)
+        if keys is not latents:
+            # Any latent of a key stands for all of them.
+            values = np.empty(values.size, dtype=latents.dtype)
+            values[columns] = latents
         # The matrix is made here and never leaves this call, so it is
         # checked without the constructor's defensive copy.
-        if latents.dtype.kind in "iu":
-            # Integer latents repeat: evaluate each distinct value once.
-            values, columns = _distinct_values(latents)
-            matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
-        else:
-            matrix = PotentialMatrix.adopt(log_potential_matrix(latents))
+        matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
         if kind == "simple":

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import prodest
 from prodest.cli import (
     _ALLOWED_KEYS,
     ConfigError,
@@ -543,6 +547,89 @@ def test_estimate_non_finite_input_exits_2(tmp_path, capsys, model, where, bad):
     assert not out.exists() or not list(out.iterdir())
 
 
+# One finite g-and-k parameter that would take the quantile transform past
+# the double range; the data are simulated or read from a file.
+@pytest.mark.parametrize("entry, bad", [(3, "1e300"), (1, "1e306"), (2, "1e308"), (0, "1.7e308")])
+@pytest.mark.parametrize("source", ["n_obs = 3", "data = obs.dat"])
+def test_estimate_gandk_theta_past_the_double_range_exits_2(
+    tmp_path, capsys, entry, bad, source
+):
+    theta = ["3", "1", "2", "0.5"]
+    theta[entry] = bad
+    (tmp_path / "obs.dat").write_text("1.5\n2.5\n3.5\n")
+    config = write_config(
+        tmp_path, f"model = gandk\ntheta = {', '.join(theta)}\n{source}\nn_particles = 6\n"
+    )
+    out = tmp_path / "results"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["estimate", "--config", config, "--out", out, "--replicates", 4]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "g-and-k parameters" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def _outputs(out):
+    """Each output file's bytes; JSON files without their run time."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            record = json.loads(path.read_text())
+            record.pop("wall_time_s", None)
+            files[path.name] = record
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_successive_calls_write_what_each_writes_alone(tmp_path):
+    # One process builds one parser.  Each call must write what the same
+    # call writes in a fresh interpreter, whatever flags the calls before
+    # it gave.
+    problem = write_config(
+        tmp_path,
+        "model = two-state\ntheta = 0.6\nn_obs = 4\nestimator = recycle\n"
+        "n_particles = 8\nreplicates = 4\n",
+        "problem.cfg",
+    )
+    tune = write_config(
+        tmp_path,
+        "model = two-state\ntheta = 0.6\nn_obs = 4\ntarget = 0.5\nmax_particles = 64\n",
+        "tune.cfg",
+    )
+    oracle = write_config(tmp_path, "fixture = d1\nn_particles = 2\n", "oracle.cfg")
+    calls = [
+        ["estimate", "--config", problem, "--seed", "5", "--estimator", "simple",
+         "--replicates", "3"],
+        ["oracle", "--config", oracle],
+        ["estimate", "--config", problem, "--seed", "5"],
+        ["tune", "--config", tune, "--estimator", "biased", "--replicates", "6"],
+        ["estimate", "--config", problem, "--replicates", "6"],
+        ["tune", "--config", tune, "--seed", "9"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(prodest.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    )}
+    for i, argv in enumerate(calls):
+        together, alone = tmp_path / f"together-{i}", tmp_path / f"alone-{i}"
+        assert run(argv + ["--out", together]) == 0
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from prodest.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv, "--out", str(alone)],
+            env=env, check=True, capture_output=True,
+        )
+        assert _outputs(together) == _outputs(alone), argv
+    # A bad command line after good ones still exits 2, and a good one
+    # after it still runs.
+    for bad in (["estimate", "--estimator", "warp"], ["tune", "--replicates", "many"],
+                ["estimate", "--seed"], ["sample"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run(bad)
+        assert exit_info.value.code == 2
+    assert run(calls[2] + ["--out", tmp_path / "again"]) == 0
+    assert _outputs(tmp_path / "again") == _outputs(tmp_path / "together-2")
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert run(["estimate", "--config", tmp_path / "nope.cfg",
                 "--out", tmp_path / "x"]) == 2
@@ -663,7 +750,13 @@ def _cli_runs(draw):
         values["n_obs"] = draw(_VALID["n_obs"])
         model = values.get("model", "gandk")
         if draw(st.booleans()):
-            values["theta"] = ", ".join(draw(_THETA[model]))
+            theta = list(draw(_THETA[model]))
+            if model == "gandk":
+                # Each entry may be odd on its own, beyond the odd tuples.
+                for j in range(4):
+                    if draw(st.integers(0, 3)) == 0:
+                        theta[j] = draw(st.sampled_from(_ODD))
+            values["theta"] = ", ".join(theta)
     if values.get("estimator") == "exact" and values.get("model") != "two-state":
         del values["estimator"]
     for key in draw(st.lists(st.sampled_from(allowed + ["mystery"]), max_size=2, unique=True)):
@@ -733,6 +826,7 @@ _CONFIG_ERRORS = [
     ),
     ("estimate", {"model": "poisson-beta", "sigma": "1e-200", "n_obs": "3", "replicates": "5"}, None),
     ("estimate", {"model": "gandk", "epsilon": "1e200", "n_obs": "3", "replicates": "5"}, None),
+    ("estimate", {"model": "gandk", "theta": "3, 1, 2, 1e300", "n_obs": "3", "replicates": "5"}, None),
     (
         "mcmc",
         {"model": "two-state", "n_obs": "3", "n_particles": "8", "chain_length": "5",

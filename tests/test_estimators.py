@@ -586,6 +586,18 @@ def test_tied_matrix_feeds_every_estimator_its_expanded_values():
     assert estimate_perm_exact(tied).log_value == estimate_perm_exact(expanded).log_value
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_biased_counts_each_column_once_per_particle(seed):
+    # On a compressed matrix the biased estimator weighs each column by its
+    # particle count, so it agrees with the expanded matrix up to rounding.
+    log_values, columns = _tied(
+        seed, 1 + seed, 40 * (seed + 1), 7, neg_inf_share=0.3 * (seed % 2)
+    )
+    tied = estimate_biased(PotentialMatrix(log_values, columns)).log_value
+    expanded = estimate_biased(PotentialMatrix(log_values[:, columns])).log_value
+    assert tied == pytest.approx(expanded, rel=1e-13, abs=1e-13)
+
+
 def test_tied_matrix_reports_bad_entry_at_first_particle():
     columns = np.array([2, 0, 1, 2, 1, 0])
     values = np.zeros((3, 3))

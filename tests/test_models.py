@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from prodest import models
@@ -29,6 +31,7 @@ from prodest.oracle import (
     estimator_distribution_exact,
     induced_potentials,
     mean_product,
+    recycle_conditional_moments,
 )
 from prodest.rng import make_stream
 
@@ -74,6 +77,36 @@ def test_gandk_transform_extreme_skew_stays_finite():
 def test_gandk_params_validation():
     with pytest.raises(ValueError):
         GandKParams(0.0, 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        (3.0, 1.0, 2.0, math.nan),
+        (math.inf, 1.0, 2.0, 0.5),
+        (3.0, 1.0, -math.inf, 0.5),
+        (3.0, 1.0, 2.0, 1e300),  # (1 + z**2)**k overflows
+        (3.0, 1e-300, 2.0, 200.0),  # (1 + z**2)**k overflows before the product is small
+        (3.0, 1e306, 2.0, 0.5),  # b * skew * (1 + z**2)**k * z overflows
+        (3.0, 1.0, 1e308, 0.5),  # g * z overflows
+        (1.7e308, 1.0, 2.0, 0.5),
+    ],
+)
+def test_gandk_params_reject_a_transform_past_the_double_range(theta):
+    with pytest.raises(ValueError, match="finite|double range"):
+        GandKParams(*theta)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [(3.0, 1.0, 2.0, 0.5), (1e300, 1.0, 1e300, -1e300), (3.0, 1e-300, 2.0, 95.0), (-3.0, 1e200, -2.0, 10.0)],
+)
+def test_gandk_params_accepted_stay_finite_without_warnings(theta):
+    z = np.array([-40.0, -13.7, -1.0, 0.0, 1e-300, 1.0, 13.7, 40.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = gandk_quantile_transform(z, GandKParams(*theta))
+    assert np.isfinite(values).all()
 
 
 def test_gandk_simulate_matches_recipe():
@@ -408,6 +441,72 @@ def test_simple_estimate_reads_the_compressed_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n_particles * 8 + 50 * values.size * 8
+
+
+def _interval_ends():
+    """Observation centres with repeats and their ends, and latents on and off the ends."""
+    centers = st.lists(
+        st.sampled_from([-1.0, -0.3, 0.0, 0.1, 0.25, 0.5, 2.0]), min_size=1, max_size=6
+    )
+    half_widths = st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0])
+    return st.tuples(centers, half_widths, st.data())
+
+
+@given(_interval_ends())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_gandk_equal_keys_give_equal_potential_columns(case):
+    centers, half_width, data = case
+    model = GandKModel(half_width)
+    ends = np.concatenate(
+        [np.asarray(centers) - half_width, np.asarray(centers) + half_width]
+    )
+    # Latents on every end, one double to either side of it, and in between.
+    near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    between = data.draw(st.lists(st.floats(-2.0, 3.0), max_size=20))
+    latents = np.concatenate([near, between, near])
+    keys = model.latent_keys(centers)(latents)
+    columns = model.log_potentials(centers)(latents)
+    distinct, first = np.unique(keys, return_index=True)
+    assert distinct.size <= 2 * len(centers) + 1
+    for key, j in zip(distinct, first):
+        assert (columns[:, keys == key] == columns[:, [j]]).all()
+
+
+class _FixedGandK(GandKModel):
+    """g-and-k potentials on latents given in advance."""
+
+    def __init__(self, half_width, latents):
+        super().__init__(half_width)
+        self.latents = latents
+
+    def sample_latent(self, theta, rng, size=None):
+        return self.latents
+
+
+def test_gandk_recycle_on_cells_has_the_oracle_law(monkeypatch):
+    # Centres 0, 0 and 0.25 with half-width 0.25: intervals (-0.25, 0.25)
+    # twice and (0, 0.5).  Latents on an end lie outside the open intervals
+    # that end there: 0 is in the first two only, 0.25 in the last only.
+    centers = np.array([0.0, 0.0, 0.25])
+    latents = np.array([-0.25, 0.0, 0.25, 0.1, 0.5, -0.1, 0.3, 0.1, 0.4, 0.25])
+    model = _FixedGandK(0.25, latents)
+    matrices = []
+    recycle = models.estimate_recycle
+    monkeypatch.setattr(
+        models, "estimate_recycle", lambda matrix, rng: matrices.append(matrix) or recycle(matrix, rng)
+    )
+    estimate = log_likelihood_estimator(model, centers, "recycle", latents.size)
+    rng = make_stream(44)
+    draws = np.exp([estimate(None, rng) for _ in range(10_000)])
+    full = model.log_potentials(centers)(latents)
+    matrix = matrices[0]
+    assert matrix.log_values.shape[1] <= 2 * centers.size + 1
+    assert np.array_equal(matrix.expanded(), full)
+    mean, second = recycle_conditional_moments(np.exp(full))
+    for power, exact in ((1, mean), (2, second)):
+        moment = draws**power
+        se = moment.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(moment.mean() - exact) <= 4 * se
 
 
 class _FixedLatents:

@@ -3,11 +3,12 @@
 A speed-up must leave every stream as it was: the same selections, the
 same random draws and the same log values.  Each case draws 20 estimates
 from one seeded generator and compares the log values and the
-generator's final position exactly with recorded ones.  Poisson-Beta,
-two-state and fixture latents are integers, so these streams run on the
-compressed matrix; g-and-k latents are floats.
+generator's final position exactly with recorded ones.  Every stream
+runs on the compressed matrix: Poisson-Beta, two-state and fixture
+latents are their own keys, and g-and-k latents are keyed by their cell
+among the interval ends.
 
-Four changes re-recorded pins on purpose; the ``simple`` and ``biased``
+Five changes re-recorded pins on purpose; the ``simple`` and ``biased``
 streams have not moved since they were first recorded:
 
 * the ``perm`` stream, when the permanent moved from enumeration to a
@@ -25,7 +26,12 @@ streams have not moved since they were first recorded:
   generator positions, when the kernel began to retire columns rather
   than particles: a column's available particles rank before its taken
   ones, so a first try stands when its rank is below the column's
-  available count.
+  available count;
+* the g-and-k ``recycle`` stream, values and generator position, when
+  g-and-k latents began to share a column per cell, so that the kernel
+  draws and retires one of at most 2n + 1 columns instead of one of
+  n_particles.  The g-and-k ``simple`` and ``biased`` pins were recorded
+  before that change and stayed as they were.
 
 Each time the law of the estimator stayed the same; the oracle tests in
 ``test_estimators.py`` check it.  Running this file prints the current
@@ -68,13 +74,15 @@ def _g_and_k():
 
 
 # (problem, kind) -> (model, theta and data factory, n_particles).  The simple kind needs
-# n_particles divisible by the 50 Poisson-Beta observations.
+# n_particles divisible by the number of observations.
 CASES = {
     ("poisson-beta", "recycle"): (_poisson_beta, 640),
     ("poisson-beta", "simple"): (_poisson_beta, 650),
     **{("two-state", kind): (_two_state, 8) for kind in ("simple", "recycle", "perm", "biased")},
     ("fixture-d3", "recycle"): (_fixture_d3, 12),
     ("g-and-k", "recycle"): (_g_and_k, 640),
+    # At 640 particles most simple blocks of 32 miss their interval.
+    **{("g-and-k", kind): (_g_and_k, 12_800) for kind in ("simple", "biased")},
 }
 
 # (problem, kind) -> (20 log values, (Philox counter, buffer_pos,
@@ -152,13 +160,33 @@ PINS = {
     ),
     ('g-and-k', 'recycle'): (
         [
-            -46.36084922449664, -48.179415582657356, -47.469875987447665, -48.78936080119265,
-            -46.82475447945996, -46.97039666059626, -46.781776750446994, -49.38866786700801,
-            -48.13112479462951, -47.338809106518816, -47.90853898009976, -48.14573273447689,
-            -47.67023389991591, -47.8337774664047, -47.95231013419271, -47.860905870695646,
-            -47.176505693664495, -46.96214068410356, -48.496283357221266, -48.06266583737858,
+            -46.35707210714608, -48.31284768512053, -47.55880656028795, -48.86126282975904,
+            -46.94437063844433, -46.89449075881152, -46.80342091553311, -49.368816505580874,
+            -48.2485753499017, -47.35963631112447, -47.64502787802514, -48.081062099552206,
+            -47.68757245815903, -47.83815571644162, -47.918309291657316, -47.912384499362844,
+            -47.07297628719665, -46.91572884888688, -48.5562035880638, -48.03771233779296,
         ],
-        ([3368, 0, 0, 0], 1, 0, 0),
+        ([3368, 0, 0, 0], 2, 0, 0),
+    ),
+    ('g-and-k', 'simple'): (
+        [
+            -48.052095556099744, -48.53887321163655, -48.03132141233069, -48.84427364671653,
+            -47.49742852778123, -49.41292883233412, -47.07892330015233, -46.73873987948358,
+            -47.19545815204813, -48.64131819179414, -49.586141357589035, -47.806714313888556,
+            -49.134639049039016, -47.80990594065737, -47.71670528817809, -48.17655027104666,
+            -47.9362835020911, -48.05524743800701, -47.963629881433825, -49.56417736906534,
+        ],
+        ([65418, 0, 0, 0], 4, 0, 0),
+    ),
+    ('g-and-k', 'biased'): (
+        [
+            -47.55891572327205, -47.80199427610203, -47.46193317412548, -47.829060015144144,
+            -47.7564316909213, -47.778465589332036, -47.68160584340544, -47.511964607963556,
+            -47.96102711673898, -47.74792100319145, -47.44321067797015, -47.94244254447308,
+            -47.83592176031502, -47.476121207646294, -47.54952479095629, -47.65174048313771,
+            -47.67936975272361, -47.75567570605044, -47.75716349252059, -47.66403881517794,
+        ],
+        ([65418, 0, 0, 0], 4, 0, 0),
     ),
 }
 
