@@ -30,9 +30,8 @@ Estimators
 
 Recycle kernel
 --------------
-``estimate_recycle`` works on the columns of ``PotentialMatrix.log_values``:
-one per particle for a full matrix, one per distinct latent value for a
-compressed one, whose ``column_counts`` give each column's particles (see
+``estimate_recycle`` works on the columns of ``PotentialMatrix.log_values``,
+each shared by the ``column_counts`` particles whose latents give it (see
 ``PotentialMatrix``).  A particle of column c weighs
 ``exp(log_values[p, c] - shift_p)`` for factor p, with the row shifted by
 its maximum.  The numpy work is done once per estimate, over the whole
@@ -71,12 +70,11 @@ maximum to the exact step, since the taken particles then hold nearly all
 of W.  When the available particles' shifted mass falls below
 ``_MIN_WEIGHT_TOTAL``, that step re-shifts by the maximum over the
 available columns, with the taken ones masked to ``-inf`` so that their
-exp cannot overflow.  R_p is a lower-triangular
-sum over the weights of the first tries' columns, corrected whenever an
-exact step picks another column.  The picks are columns: particle
-indices for a full matrix, latent values' columns for a compressed one.
-A compressed matrix gives the estimate and the retired columns the same
-law as its expanded matrix, but not the same fixed-seed stream.
+exp cannot overflow.  R_p is a lower-triangular sum over the weights of
+the first tries' columns, corrected whenever an exact step picks another
+column.  The picks are columns of ``log_values``.  The estimate and the
+retired columns have the law of the expanded matrix, one column per
+particle, but not in general its fixed-seed stream.
 
 Permanent dynamic program
 -------------------------
@@ -151,61 +149,6 @@ def check_particle_count(
         )
 
 
-def _check_log_values(values: np.ndarray, columns: np.ndarray | None = None) -> None:
-    """Raise ``PotentialValueError`` at the first NaN or +inf entry.
-
-    ``values`` is (n_factors, n_particles), or, with ``columns``,
-    (n_factors, n_columns) with ``columns`` mapping the particles to its
-    columns; the error names the position in the expanded matrix either way.
-    """
-    # NaN compares false too, so one pass rejects NaN and +inf.
-    if (values < np.inf).all():
-        return
-    if columns is not None:
-        values = values[:, columns]
-    factor, particle = np.argwhere(~(values < np.inf))[0]
-    raise PotentialValueError(
-        f"log potential {values[factor, particle]} at factor {factor}, particle {particle}"
-    )
-
-
-def _checked_read_only(
-    lv: np.ndarray, columns: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``lv``, ``columns`` and the particles per column, marked read-only.
-
-    Raises unless ``lv`` and ``columns`` form a valid matrix.  The counts
-    are None for a full matrix.
-    """
-    if lv.ndim != 2:
-        raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
-    n_factors, n_particles = lv.shape
-    if n_factors < 1:
-        raise DimensionError("need at least one factor")
-    counts = None
-    if columns is not None:
-        if columns.ndim != 1 or columns.dtype.kind not in "iu":
-            raise DimensionError(
-                f"columns must be a 1-d integer array, got {columns.dtype} {columns.shape}"
-            )
-        columns = columns.astype(np.intp, copy=False)
-        n_columns, n_particles = n_particles, columns.size
-        # Every column is some particle's, so a row maximum is a maximum
-        # over particles and every bad entry has a particle position.
-        if (
-            columns.min(initial=0) < 0
-            or columns.max(initial=-1) != n_columns - 1
-            or not (counts := np.bincount(columns)).all()
-        ):
-            raise DimensionError(f"columns must map the particles onto all {n_columns} columns")
-        columns.flags.writeable = False
-        counts.flags.writeable = False
-    check_particle_count(n_particles, n_factors)
-    _check_log_values(lv, columns)
-    lv.flags.writeable = False
-    return lv, columns, counts
-
-
 @dataclass(frozen=True)
 class PotentialMatrix:
     """(n_factors, n_particles) matrix of log potential values.
@@ -215,55 +158,70 @@ class PotentialMatrix:
     first offending entry.  Requires n_particles >= n_factors so that
     selection without replacement is possible.
 
-    Particles that share a latent value share a column of potentials.
-    Given ``columns``, the matrix is stored in that compressed form:
-    ``log_values`` is (n_factors, n_columns), one column per distinct
-    value, ``columns[j]`` is particle j's column and must reach every
-    column, and n_particles is ``len(columns)``.  The matrix it stands for
-    is ``log_values[:, columns]``, which ``expanded`` returns; the NaN/+inf
-    check runs on the compressed values and names a bad entry at its first
-    particle.  The check that every column has a particle counts them;
-    ``column_counts`` keeps that count, read-only, and is None for a full
-    matrix.  ``estimate_recycle`` works on the compressed form directly:
-    it weighs a column by potential times available particle count and
-    retires columns, so it has the expanded matrix's law but not its
-    fixed-seed stream.  ``estimate_simple`` reads its blocks of particles
-    in one gather and gives the expanded matrix's value bit for bit.
-    ``estimate_biased`` weighs a column by its count, at O(n_factors *
-    n_columns) cost, and gives the expanded matrix's value up to rounding.
+    Particles that share a latent value share a column of potentials, so
+    ``log_values`` is (n_factors, n_columns) and ``columns[j]``, which must
+    reach every column, is particle j's column; n_particles is
+    ``len(columns)``.  The matrix stands for ``log_values[:, columns]``,
+    which ``expanded`` returns.  Without ``columns`` every particle has a
+    column of its own: ``columns`` is ``arange(n_columns)``.
+    ``column_counts`` holds each column's particles, counted by the check
+    that every column has one.  The NaN/+inf check runs on ``log_values``
+    and names a bad entry at its column's first particle.
+
+    ``estimate_recycle`` weighs a column by potential times available
+    particle count and retires columns, so it has the expanded matrix's
+    law but not, in general, its fixed-seed stream.
+    ``estimate_simple`` reads its blocks of particles in one gather and
+    gives the expanded matrix's value bit for bit.  ``estimate_biased``
+    weighs a column by its count, at O(n_factors * n_columns) cost, and
+    gives the expanded matrix's value up to rounding.
     ``estimate_perm_exact`` reads ``expanded()``.
 
-    The constructor holds read-only copies, so the caller's arrays may
-    change afterwards.  ``PotentialMatrix.adopt`` runs the same checks but
-    skips the copies; the per-estimate closure of
-    ``models.log_likelihood_estimator`` uses it for the matrix it has just
-    evaluated and never exposes.
+    The matrix holds a read-only copy of ``log_values``, so the caller's
+    array may change afterwards.  ``columns``, one entry per particle, is
+    not copied, so a matrix adds no particle-sized array to what its
+    caller holds: an ``np.intp`` array is held as given and marked
+    read-only, and nothing may write to it, or to memory it views,
+    afterwards.  Other integer arrays are converted.
     """
 
     log_values: np.ndarray
+    # None gives every particle its own column.
     columns: np.ndarray | None = None
-    column_counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    column_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        columns = None if self.columns is None else np.array(self.columns)
-        self._set(_checked_read_only(np.array(self.log_values, dtype=float), columns))
-
-    @classmethod
-    def adopt(
-        cls, log_values: np.ndarray, columns: np.ndarray | None = None
-    ) -> PotentialMatrix:
-        """Check and wrap arrays without copying them.
-
-        The caller hands the arrays over: they are marked read-only, and
-        nothing else may write to them or to the memory they view.
-        """
-        matrix = object.__new__(cls)
-        columns = None if columns is None else np.asarray(columns)
-        matrix._set(_checked_read_only(np.asarray(log_values, dtype=float), columns))
-        return matrix
-
-    def _set(self, checked: tuple[np.ndarray, np.ndarray | None, np.ndarray | None]) -> None:
-        for name, value in zip(("log_values", "columns", "column_counts"), checked):
+        lv = np.array(self.log_values, dtype=float)
+        if lv.ndim != 2:
+            raise DimensionError(f"log_values must be 2-d, got shape {lv.shape}")
+        n_factors, n_columns = lv.shape
+        if n_factors < 1:
+            raise DimensionError("need at least one factor")
+        columns = np.arange(n_columns) if self.columns is None else np.asarray(self.columns)
+        if columns.ndim != 1 or columns.dtype.kind not in "iu":
+            raise DimensionError(
+                f"columns must be a 1-d integer array, got {columns.dtype} {columns.shape}"
+            )
+        columns = columns.astype(np.intp, copy=False)
+        # Every column is some particle's, so a row maximum is a maximum
+        # over particles and every bad entry has a particle position.
+        if (
+            columns.min(initial=0) < 0
+            or columns.max(initial=-1) != n_columns - 1
+            or not (counts := np.bincount(columns)).all()
+        ):
+            raise DimensionError(f"columns must map the particles onto all {n_columns} columns")
+        check_particle_count(columns.size, n_factors)
+        # NaN compares false too, so one pass rejects NaN and +inf.
+        if not (lv < np.inf).all():
+            expanded = lv[:, columns]
+            factor, particle = np.argwhere(~(expanded < np.inf))[0]
+            raise PotentialValueError(
+                f"log potential {expanded[factor, particle]} at factor {factor}, "
+                f"particle {particle}"
+            )
+        for name, value in (("log_values", lv), ("columns", columns), ("column_counts", counts)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -272,14 +230,10 @@ class PotentialMatrix:
 
     @property
     def n_particles(self) -> int:
-        if self.columns is None:
-            return self.log_values.shape[1]
         return self.columns.size
 
     def expanded(self) -> np.ndarray:
         """The (n_factors, n_particles) log potential values, one column per particle."""
-        if self.columns is None:
-            return self.log_values
         return self.log_values[:, self.columns]
 
 
@@ -315,10 +269,9 @@ def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
             f"simple estimator needs n_particles divisible by n_factors, "
             f"got {n_particles} and {n_factors}"
         )
-    columns = np.arange(n_particles) if matrix.columns is None else matrix.columns
     # Row p of ``blocks`` is factor p's block, read in one gather.
     blocks = matrix.log_values[
-        np.arange(n_factors)[:, None], columns.reshape(n_factors, block_size)
+        np.arange(n_factors)[:, None], matrix.columns.reshape(n_factors, block_size)
     ]
     shifts = blocks.max(axis=1)
     if shifts.min() == -np.inf:
@@ -337,20 +290,18 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
 
     Its expectation is a product over expected row averages, which differs
     from the target product whenever the same particle enters several
-    factors, so this is the (generally biased) reference point.  On a
-    compressed matrix each column counts once per particle, which costs
-    O(n_factors * n_columns).
+    factors, so this is the (generally biased) reference point.  Each
+    column counts once per particle, at O(n_factors * n_columns) cost.
     """
-    lv, counts = matrix.log_values, matrix.column_counts
+    lv = matrix.log_values
     shifts = lv.max(axis=1)
     if shifts.min() == -np.inf:
         return LogEstimate(-np.inf)
     # Rows in C order, so that each row is summed pairwise as a 1-d array.
     weights = np.subtract(lv, shifts[:, None], order="C")
     np.exp(weights, out=weights)
-    if counts is not None:
-        # Every particle of a column carries its weight.
-        weights *= counts
+    # Every particle of a column carries its weight.
+    weights *= matrix.column_counts
     log_masses = shifts + np.log(weights.sum(axis=1))
     log_n = math.log(matrix.n_particles)
     total = 0.0
@@ -379,17 +330,15 @@ def estimate_recycle(
     potential from all n_particles, which the factor keeps at O(1) cost
     unless it is already taken.  Only then, or when the taken particles
     hold more than half of the factor's mass, does the step pass over the
-    row: O(n_columns), where n_columns is n_particles for a full matrix
-    and the number of distinct latent values for a compressed one.  The
-    factor average is ``shift + log(available mass) - log(n_particles -
+    row: O(n_columns), the width of ``matrix.log_values``.  The factor
+    average is ``shift + log(available mass) - log(n_particles -
     p)``, with the row shifted by its maximum, or by the maximum over the
     available particles when the former would leave their mass below
     ``_MIN_WEIGHT_TOTAL``.
 
     Returns the log estimate together with the n_factors columns of
-    ``matrix.log_values`` retired, in order: particle indices for a full
-    matrix, latent values' columns, each at most its particle count times,
-    for a compressed one.  The estimator is unbiased for the target product
+    ``matrix.log_values`` retired, in order, each at most its particle
+    count times.  The estimator is unbiased for the target product
     and reproducible given (matrix, generator state).  It draws n_factors
     uniform variates in one call, then one more for each first try that
     lands on a taken particle.
@@ -408,8 +357,7 @@ def estimate_recycle(
     mass = run[:, 1:]
     np.subtract(lv, shift[:, None], out=mass)
     np.exp(mass, out=mass)
-    if counts is not None:
-        mass *= counts
+    mass *= counts
     mass.cumsum(axis=1, out=mass)
     gross = run[:, -1]
     uniforms = rng.random(n_factors)
@@ -428,11 +376,11 @@ def estimate_recycle(
     # takes another column.
     retired = unit.sum(axis=1, where=rows[:, None] > rows)
     first_units = unit.diagonal().tolist()
-    first_counts = [1] * n_factors if counts is None else counts[first].tolist()
+    first_counts = counts[first].tolist()
     shifts, gross = row_max.tolist(), gross.tolist()
     first_columns, uniforms, residuals = first.tolist(), uniforms.tolist(), residuals.tolist()
     # Available particles per column; they rank first among its particles.
-    live = np.ones(n_columns, dtype=np.intp) if counts is None else counts.copy()
+    live = counts.copy()
     picks: list[int] = []
     log_total = 0.0
     for p in range(n_factors):

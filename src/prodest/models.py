@@ -92,6 +92,10 @@ _TWO_STATE_KERNEL.flags.writeable = False
 # Largest observation magnitude ``PoissonBetaModel`` accepts.
 _MAX_COUNT_OBSERVATION = 1e154
 
+# Largest Poisson-Beta rate: half of numpy's Poisson mean ceiling (about
+# 2**63), so that rounding in rate * on / (on + off) cannot pass it.
+_MAX_POISSON_RATE = 2.0**62
+
 # Widest latent range, in multiples of the particle count, that
 # ``_distinct_values`` tabulates instead of sorting.
 _DENSE_SPAN = 4
@@ -141,7 +145,14 @@ class GandKParams:
 
 @dataclass(frozen=True)
 class PoissonBetaParams:
-    """Rate and the two Beta shape parameters; all strictly positive."""
+    """Rate and the two Beta shape parameters; all strictly positive.
+
+    The rate is at most ``_MAX_POISSON_RATE``, so the Poisson draw stays
+    within numpy's range.  numpy's gamma draws of shape k stay below
+    8 k + 2**52 for standard normal draws up to 40, so ``rate * on`` and
+    ``on + off`` in ``sample_poisson_beta`` stay below half the largest
+    double when max(rate, 1) * (8 (k_on + k_off) + 2**53) does.
+    """
 
     rate: float
     k_on: float
@@ -151,6 +162,13 @@ class PoissonBetaParams:
         for name in ("rate", "k_on", "k_off"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.rate <= _MAX_POISSON_RATE:
+            raise ValueError(f"rate must be at most {_MAX_POISSON_RATE:g}, got {self.rate}")
+        if not max(self.rate, 1.0) * (8.0 * (self.k_on + self.k_off) + 2.0**53) < _HALF_MAX:
+            raise ValueError(
+                f"Poisson-Beta parameters would take the Beta draw past the double "
+                f"range, got {self}"
+            )
 
 
 def gandk_quantile_transform(z, params: GandKParams):
@@ -188,7 +206,9 @@ def gandk_simulate_data(
     By default U is itself Uniform(-half_width, half_width), so the
     perturbation has half-width ``half_width**2``.  With
     ``unit_noise=True`` U is Uniform(-1, 1) and the perturbation
-    half-width is ``half_width``.
+    half-width is ``half_width``.  ``GandKParams`` keeps X finite and
+    ``_check_scale`` keeps the perturbation finite, but their sum may pass
+    the double range; such observations are rejected.
     """
     n_obs = int(n_obs)
     if n_obs < 1:
@@ -197,7 +217,14 @@ def gandk_simulate_data(
     x = gandk_quantile_transform(rng.standard_normal(n_obs), params)
     bound = 1.0 if unit_noise else half_width
     u = rng.uniform(-bound, bound, size=n_obs)
-    return x + half_width * u
+    with np.errstate(over="ignore"):
+        y = x + half_width * u
+    if not np.isfinite(y).all():
+        raise ValueError(
+            f"simulated g-and-k observations pass the double range: got {params} "
+            f"with half_width {half_width}"
+        )
+    return y
 
 
 def interval_log_potential(x, center: float, half_width: float):
@@ -214,12 +241,19 @@ def sample_poisson_beta(params: PoissonBetaParams, rng: np.random.Generator, siz
     pattern of the generator is fixed; the Poisson draw then uses the
     generator's standard routine.  The Poisson mean ``rate * on / (on +
     off)`` is formed in place, so a draw holds two float arrays besides
-    its output.
+    its output.  Where both gamma draws underflow to zero, which takes
+    shapes of at most 1 and is the rule below about 0.05, the Beta
+    variable is 0 / 0; those particles take numpy's Beta draw instead,
+    which works in logs there.
     """
     on = rng.standard_gamma(params.k_on, size=size)
     off = rng.standard_gamma(params.k_off, size=size)
     off += on
     on *= params.rate
+    if not np.all(off):
+        lost = off == 0.0
+        on = np.where(lost, params.rate * rng.beta(params.k_on, params.k_off, size), on)
+        off = np.where(lost, 1.0, off)
     on /= off
     return rng.poisson(on)
 
@@ -530,9 +564,7 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
             # Any latent of a key stands for all of them.
             values = np.empty(values.size, dtype=latents.dtype)
             values[columns] = latents
-        # The matrix is made here and never leaves this call, so it is
-        # checked without the constructor's defensive copy.
-        matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
+        matrix = PotentialMatrix(log_potential_matrix(values), columns)
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
         if kind == "simple":

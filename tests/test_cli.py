@@ -424,6 +424,7 @@ def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
         ("burn_in = 1\npilot_length = 0", "burn_in must lie in [0, 1)"),
         ("model = gandk\ntheta = 3, 1, 2, 11\nn_obs = 5", "outside the prior's support"),
         ("model = poisson-beta\ntheta = 500, 2, 8\nsigma = 1e200", "sigma must be finite"),
+        ("model = poisson-beta\ntheta = 1e300, 2, 8", "rate must be at most"),
     ],
 )
 def test_mcmc_config_errors_exit_before_tuning(tmp_path, capsys, monkeypatch, key, message):
@@ -484,6 +485,8 @@ def test_mcmc_fixture_exits_2(tmp_path, capsys, monkeypatch, init):
         "fixture = d4\n",                                    # latent fixture
         "fixture = d1\nestimator = warp\n",                  # unknown estimator
         "fixture = d1\nchain_length = 100\n",                # key from another command
+        # simulated observations past the double range
+        "model = gandk\ntheta = 8e307, 1, 2, 0.5\nepsilon = 1.3e154\nn_obs = 60\n",
     ],
 )
 def test_estimate_config_errors_exit_2(tmp_path, capsys, text):
@@ -751,9 +754,9 @@ def _cli_runs(draw):
         model = values.get("model", "gandk")
         if draw(st.booleans()):
             theta = list(draw(_THETA[model]))
-            if model == "gandk":
+            if model in ("gandk", "poisson-beta"):
                 # Each entry may be odd on its own, beyond the odd tuples.
-                for j in range(4):
+                for j in range(len(theta)):
                     if draw(st.integers(0, 3)) == 0:
                         theta[j] = draw(st.sampled_from(_ODD))
             values["theta"] = ", ".join(theta)

@@ -62,20 +62,6 @@ def test_potential_matrix_read_only_copy():
         matrix.log_values[0, 0] = 9.0
 
 
-def test_potential_matrix_adopt_checks_without_copy():
-    source = np.zeros((2, 3))
-    matrix = PotentialMatrix.adopt(source)
-    assert np.shares_memory(matrix.log_values, source)
-    with pytest.raises(ValueError):
-        matrix.log_values[0, 0] = 9.0
-    with pytest.raises(DimensionError):
-        PotentialMatrix.adopt(np.zeros((3, 2)))
-    bad = np.zeros((2, 3))
-    bad[1, 2] = math.nan
-    with pytest.raises(PotentialValueError, match="nan at factor 1, particle 2"):
-        PotentialMatrix.adopt(bad)
-
-
 def test_potential_matrix_reports_bad_entry_location():
     values = np.zeros((3, 4))
     values[1, 2] = math.nan
@@ -584,6 +570,19 @@ def test_tied_matrix_feeds_every_estimator_its_expanded_values():
     assert estimate_simple(tied).log_value == estimate_simple(expanded).log_value
     assert estimate_biased(tied).log_value == estimate_biased(expanded).log_value
     assert estimate_perm_exact(tied).log_value == estimate_perm_exact(expanded).log_value
+    # Default columns are arange(n_particles), so a full matrix, with or
+    # without a vanishing row, gives the same values and recycle stream.
+    vanishing = expanded.log_values.copy()
+    vanishing[1] = NEG_INF
+    for values in (expanded.log_values, vanishing):
+        default = PotentialMatrix(values)
+        explicit = PotentialMatrix(values, np.arange(values.shape[1]))
+        for seed in range(5):
+            assert estimate_recycle(default, make_stream(seed)) == estimate_recycle(
+                explicit, make_stream(seed)
+            )
+        for estimate in (estimate_simple, estimate_biased, estimate_perm_exact):
+            assert estimate(default) == estimate(explicit)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -607,7 +606,7 @@ def test_tied_matrix_reports_bad_entry_at_first_particle():
     values[1, 1] = 0.0
     values[2, 0] = math.inf
     with pytest.raises(PotentialValueError, match="inf at factor 2, particle 1"):
-        PotentialMatrix.adopt(values, columns)
+        PotentialMatrix(values, columns)
 
 
 def test_tied_matrix_validation():
@@ -622,7 +621,14 @@ def test_tied_matrix_validation():
     assert matrix.column_counts.tolist() == [2, 2]
     with pytest.raises(ValueError):
         matrix.column_counts[0] = 0
-    assert PotentialMatrix(np.zeros((3, 4))).column_counts is None
+    # Without columns every particle has a column of its own.
+    full = PotentialMatrix(np.zeros((3, 4)))
+    assert full.columns.tolist() == [0, 1, 2, 3]
+    assert full.column_counts.tolist() == [1, 1, 1, 1]
+    with pytest.raises(ValueError):
+        full.columns[0] = 1
+    with pytest.raises(ValueError):
+        full.column_counts[0] = 0
     with pytest.raises(DimensionError):
         PotentialMatrix(values, [1, 0])  # fewer particles than factors
     for columns in ([0, 0, 0, 0], [0, 1, 2, 1], [-1, 0, 1, 1], [[0, 1, 0]], [0.0, 1.0, 0.0]):

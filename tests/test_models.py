@@ -165,6 +165,44 @@ def test_poisson_beta_mean():
     assert abs(draws.mean() - expected) < 3 * se
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ((1e300, 2.0, 8.0), "rate must be at most"),
+        ((2.0**62 * 1.01, 2.0, 8.0), "rate must be at most"),
+        ((math.inf, 2.0, 8.0), "rate must be at most"),
+        ((math.nan, 2.0, 8.0), "rate must be positive"),
+        ((1e10, 1e300, 2.0), "double range"),  # rate * on overflows
+        ((1.0, 1.7e308, 1e308), "double range"),  # on + off overflows
+    ],
+)
+def test_poisson_beta_params_reject_draws_past_numpy_range(theta, message):
+    with pytest.raises(ValueError, match=message):
+        PoissonBetaParams(*theta)
+
+
+@pytest.mark.parametrize(
+    "theta", [(2.0**62, 2.0, 8.0), (1000.0, 1e300, 1e300), (1e-300, 8.0, 2.0), (50.0, 1e-300, 3.0)]
+)
+def test_poisson_beta_accepted_params_draw_without_warnings(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_poisson_beta(PoissonBetaParams(*theta), make_stream(14), size=2000)
+    assert draws.min() >= 0
+
+
+def test_poisson_beta_with_vanishing_gamma_draws_is_near_bernoulli():
+    # With both shapes 1e-300 both gamma draws underflow to zero, and the
+    # Beta variable is near 0 or 1 with probability 1/2 each.
+    params = PoissonBetaParams(1000.0, 1e-300, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_poisson_beta(params, make_stream(15), size=4000)
+    high = np.mean(draws > 500)
+    assert np.mean((draws == 0) | (draws > 500)) == 1.0
+    assert abs(high - 0.5) < 4 * math.sqrt(0.25 / draws.size)
+
+
 def test_poisson_beta_draw_holds_two_float_arrays():
     # The Poisson mean is formed in place in the two gamma arrays, so the
     # draw holds two N-float arrays besides its output, not four.
@@ -403,8 +441,8 @@ def test_log_likelihood_estimator_empty_data_is_unit():
 
 
 def test_recycle_estimate_peak_memory_is_one_matrix():
-    # A steady-state estimate holds the (n_obs, n_particles) potential
-    # matrix once: no defensive copy and no matrix-sized temporaries.
+    # A steady-state estimate holds no (n_obs, n_particles) array: the
+    # matrix, its copy and the kernel's arrays are (n_obs, n_columns).
     model = PoissonBetaModel(sigma=5.0)
     theta = np.array([500.0, 2.0, 8.0])
     data = model.simulate(theta, 50, make_stream(31))
@@ -435,7 +473,7 @@ def test_simple_estimate_reads_the_compressed_matrix():
     log_potential_matrix = model.log_potentials(data)
     tracemalloc.start()
     try:
-        matrix = PotentialMatrix.adopt(log_potential_matrix(values), columns)
+        matrix = PotentialMatrix(log_potential_matrix(values), columns)
         estimate_simple(matrix)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -30,7 +30,6 @@ EXEMPT = {"oracle"}
 # Optional parameters that no call in src/ or scripts/ passes, and why.
 UNSET_ALLOWED = {
     "cli.main(argv)": "the entry point; the console script calls it with none",
-    "estimators.PotentialMatrix(columns)": "src/ builds compressed matrices through adopt",
     "estimators.estimate_perm_exact(max_terms)": "a safety cap on the dynamic program",
 }
 
