@@ -43,7 +43,6 @@ from .mcmc import (
     ParticleCountError,
     initial_proposal,
     relative_variance_of_logs,
-    replicate_log_estimates,
     run_chain,
     tune_particle_count,
     tune_proposal,
@@ -346,7 +345,7 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
     estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
     rng = make_stream(seed, STREAM_ESTIMATE)
     started = time.perf_counter()
-    logs = replicate_log_estimates(lambda r: estimate_fn(theta, r), n_replicates, rng)
+    logs = estimate_fn(theta, rng, n_replicates)
     elapsed = time.perf_counter() - started
     workspace.write_csv(
         "estimates.csv",

@@ -40,7 +40,6 @@ __all__ = [
     "run_chain",
     "initial_proposal",
     "tune_proposal",
-    "replicate_log_estimates",
     "relative_variance_of_logs",
     "tune_particle_count",
     "ess_batch_means",
@@ -339,16 +338,6 @@ def tune_proposal(
     return ProposalSpec.from_covariance(factor * sample_cov)
 
 
-def replicate_log_estimates(
-    estimate_fn: Callable, n_replicates: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sequential independent replicates of ``estimate_fn(rng)``."""
-    n_replicates = int(n_replicates)
-    if n_replicates < 1:
-        raise ValueError(f"need at least one replicate, got {n_replicates}")
-    return np.array([float(estimate_fn(rng)) for _ in range(n_replicates)])
-
-
 def relative_variance_of_logs(log_estimates) -> float:
     """Empirical relative variance from log-scale replicates.
 
@@ -401,9 +390,7 @@ def tune_particle_count(
         )
     while True:
         estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
-        measured = relative_variance_of_logs(
-            replicate_log_estimates(lambda r: estimate_fn(theta, r), n_replicates, rng)
-        )
+        measured = relative_variance_of_logs(estimate_fn(theta, rng, n_replicates))
         if probes is not None:
             probes.append((n_particles, measured))
         if measured <= target:

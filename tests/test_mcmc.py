@@ -16,7 +16,6 @@ from prodest.mcmc import (
     initial_proposal,
     pseudo_marginal_step,
     relative_variance_of_logs,
-    replicate_log_estimates,
     run_chain,
     tune_particle_count,
     tune_proposal,
@@ -262,42 +261,33 @@ def test_chain_config_validation():
 # ------------------------------------------------------- variance utilities
 
 
-def test_replicate_log_estimates_deterministic():
-    def noisy(rng):
-        return float(rng.standard_normal())
-
-    a = replicate_log_estimates(noisy, 50, make_stream(12))
-    b = replicate_log_estimates(noisy, 50, make_stream(12))
+def test_estimator_replicates_deterministic():
+    model = TwoStateLatentModel()
+    estimate = log_likelihood_estimator(model, np.array([0, 1, 0, 1]), "recycle", 8)
+    theta = np.array([0.5])
+    a = estimate(theta, make_stream(12), 50)
+    b = estimate(theta, make_stream(12), 50)
     assert a.shape == (50,)
     assert (a == b).all()
 
 
-def relative_variance(estimate_fn, n_replicates, rng):
-    """What ``tune_particle_count`` measures at each probe."""
-    return relative_variance_of_logs(replicate_log_estimates(estimate_fn, n_replicates, rng))
-
-
 def test_relative_variance_edge_cases():
-    assert relative_variance(lambda rng: 0.0, 100, make_stream(13)) == 0.0
-    assert relative_variance(
-        lambda rng: -math.inf, 10, make_stream(14)
-    ) == math.inf
+    assert relative_variance_of_logs(np.zeros(100)) == 0.0
+    assert relative_variance_of_logs(np.full(10, -math.inf)) == math.inf
     with pytest.raises(ValueError):
-        relative_variance(lambda rng: 0.0, 1, make_stream(15))
+        relative_variance_of_logs(np.zeros(1))
 
 
 def test_relative_variance_matches_known_value():
+    # What ``tune_particle_count`` measures at each probe, against the
+    # delta-method reference on the same replicates.
     model = TwoStateLatentModel()
     estimate = log_likelihood_estimator(
         model, np.array([0, 1, 0, 1]), "recycle", 8
     )
     theta = np.array([0.5])
-    logs = replicate_log_estimates(
-        lambda rng: estimate(theta, rng), 4000, make_stream(16)
-    )
-    point = relative_variance(
-        lambda rng: estimate(theta, rng), 4000, make_stream(16)
-    )
+    logs = estimate(theta, make_stream(16), 4000)
+    point = relative_variance_of_logs(estimate(theta, make_stream(16), 4000))
     check, se = relvar_and_se(logs)
     assert point == pytest.approx(check, rel=1e-12)
     assert se < 0.1  # sanity on the error scale itself

@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from prodest import models
-from prodest.estimators import DimensionError, LogEstimate, PotentialMatrix, estimate_simple
+from prodest.estimators import (
+    DimensionError,
+    LogEstimate,
+    PotentialMatrix,
+    estimate_biased,
+    estimate_perm_exact,
+    estimate_recycle,
+    estimate_simple,
+)
 from prodest.models import (
     ExponentialPrior,
     GandKModel,
@@ -518,7 +526,7 @@ class _FixedGandK(GandKModel):
         self.latents = latents
 
     def sample_latent(self, theta, rng, size=None):
-        return self.latents
+        return self.latents.reshape(size)
 
 
 def test_gandk_recycle_on_cells_has_the_oracle_law(monkeypatch):
@@ -555,7 +563,7 @@ class _FixedLatents:
         self.evaluated = []
 
     def sample_latent(self, theta, rng, size=None):
-        return self.latents
+        return self.latents.reshape(size)
 
     def log_potentials(self, data):
         def matrix(values):
@@ -620,3 +628,193 @@ def test_estimator_moments_match_oracle_distribution():
     assert abs(draws.mean() - mean) < 3.5 * mean_se
     second_se = (draws**2).std(ddof=1) / math.sqrt(draws.size)
     assert abs((draws**2).mean() - second) < 3.5 * second_se
+
+
+
+# ------------------------------------------------------------ replicate axis
+
+
+def _replicate_problem(name):
+    """(model, theta, data) for one model, at four observations."""
+    if name == "fixture-d3":
+        model = DiscreteFixtureModel(*get_fixture("d3").build())
+        return model, np.zeros(0), model.factor_indices
+    model, theta = {
+        "poisson-beta": (PoissonBetaModel(5.0), np.array([50.0, 2.0, 8.0])),
+        "g-and-k": (GandKModel(0.2), np.array([3.0, 1.0, 2.0, 0.5])),
+        "two-state": (TwoStateLatentModel(), np.array([0.3])),
+    }[name]
+    return model, theta, model.simulate(theta, 4, make_stream(70))
+
+
+def _scalar_reference(model, data, kind, n_particles):
+    """The one-replicate closure written out: one draw of n_particles, np.unique, one kernel."""
+    log_potential_matrix = model.log_potentials(data)
+    latent_keys = getattr(model, "latent_keys", None)
+    latent_keys = latent_keys(data) if latent_keys else None
+
+    def estimate(theta, rng):
+        latents = np.asarray(model.sample_latent(theta, rng, size=n_particles))
+        keys = latents if latent_keys is None else latent_keys(latents)
+        values, columns = np.unique(keys, return_inverse=True)
+        if keys is not latents:
+            values = np.empty(values.size, dtype=latents.dtype)
+            values[columns] = latents
+        matrix = PotentialMatrix(log_potential_matrix(values), columns)
+        if kind == "recycle":
+            return estimate_recycle(matrix, rng)[0].log_value
+        if kind == "simple":
+            return estimate_simple(matrix).log_value
+        if kind == "perm":
+            return estimate_perm_exact(matrix).log_value
+        return estimate_biased(matrix).log_value
+
+    return estimate
+
+
+@pytest.mark.parametrize("kind", models.ESTIMATOR_KINDS)
+@pytest.mark.parametrize("problem", ["poisson-beta", "g-and-k", "two-state", "fixture-d3"])
+def test_one_replicate_calls_give_the_scalar_stream(problem, kind):
+    # size=None and size=1 draw exactly as the one-replicate closure did:
+    # the same log values and the same generator position after them.
+    model, theta, data = _replicate_problem(problem)
+    n_particles = 8
+    estimate = log_likelihood_estimator(model, data, kind, n_particles)
+    reference = _scalar_reference(model, data, kind, n_particles)
+    streams = [make_stream(73) for _ in range(3)]
+    expected = [reference(theta, streams[0]) for _ in range(10)]
+    scalar = [estimate(theta, streams[1]) for _ in range(10)]
+    single = []
+    for _ in range(10):
+        value = estimate(theta, streams[2], 1)
+        assert value.shape == (1,)
+        single.append(float(value[0]))
+    assert scalar == expected and single == expected
+    assert isinstance(scalar[0], float)
+    positions = {str(stream.bit_generator.state) for stream in streams}
+    assert len(positions) == 1
+
+
+@pytest.mark.parametrize("kind", ["recycle", "simple"])
+@pytest.mark.parametrize("name", ["d1", "d3"])
+def test_replicate_block_has_the_oracle_law(name, kind):
+    # 20,000 replicates at 4 particles run in two passes (16,384 + 3,616);
+    # their mean and second moment match the exact ones within 4 SE.
+    measure, potentials = get_fixture(name).build()
+    model = DiscreteFixtureModel(measure, potentials)
+    n_particles, n_replicates = 4, 20_000
+    estimate = log_likelihood_estimator(model, model.factor_indices, kind, n_particles)
+    draws = np.exp(estimate(np.zeros(0), make_stream(74), n_replicates))
+    assert draws.shape == (n_replicates,)
+    mean, second = estimator_distribution_exact(measure, potentials, n_particles, kind)
+    for power, exact in ((1, mean), (2, second)):
+        moment = draws**power
+        se = moment.std(ddof=1) / math.sqrt(n_replicates)
+        assert abs(moment.mean() - exact) <= 4 * se
+
+
+@pytest.mark.parametrize(
+    "latents",
+    [
+        np.random.default_rng(75).integers(-128, 128, size=(3, 100)).astype(np.int8),
+        np.random.default_rng(76).integers(-128, 128, size=(3, 20)).astype(np.int8),
+        np.random.default_rng(77).integers(0, 256, size=(3, 100)).astype(np.uint8),
+        np.random.default_rng(78).integers(0, 256, size=(3, 20)).astype(np.uint8),
+        np.array([[-(2**62), 2**62, 0, 5], [2**62, 2**62 - 1, -(2**62), 7], [1, 2, 3, 1]]),
+        np.random.default_rng(79).integers(0, 2**63, size=(3, 30), dtype=np.uint64),
+    ],
+    ids=["int8-table", "int8-sort", "uint8-table", "uint8-sort", "int64-wide", "uint64"],
+)
+def test_replicate_block_tabulates_each_row_like_unique(latents, monkeypatch):
+    # Three replicates in one pass: the potentials are evaluated on each
+    # row's distinct values, one row after another, and each replicate's
+    # matrix maps its particles to its own columns, as np.unique does.
+    seen = []
+    monkeypatch.setattr(
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+    )
+    model = _FixedLatents(latents)
+    estimate = log_likelihood_estimator(model, np.zeros(3), "biased", latents.shape[1])
+    logs = estimate(None, None, 3)
+    assert logs.tolist() == [0.0, 0.0, 0.0]
+    (evaluated,) = model.evaluated
+    uniques = [np.unique(row, return_inverse=True) for row in latents]
+    assert evaluated.dtype == latents.dtype
+    assert np.array_equal(evaluated, np.concatenate([values for values, _ in uniques]))
+    for matrix, (values, columns) in zip(seen, uniques):
+        assert matrix.log_values.shape[1] == values.size
+        assert np.array_equal(matrix.columns, columns)
+
+
+@pytest.mark.parametrize("rate", [500.0, 2.0**62], ids=["rate-500", "rate-2^62"])
+def test_poisson_beta_replicate_block_matches_unique_per_row(rate, monkeypatch):
+    # At rate 2**62 the counts spread over about 2**62, so three rows at
+    # one offset each would pass the intp range; each row is sorted alone.
+    seen = []
+    monkeypatch.setattr(
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+    )
+    model, theta = PoissonBetaModel(5.0), np.array([rate, 2.0, 8.0])
+    data = np.array([0.0, 3.0, 1e6])
+    log_likelihood_estimator(model, data, "biased", 50)(theta, make_stream(80), 3)
+    latents = model.sample_latent(theta, make_stream(80), size=(3, 50))
+    assert rate < 1e3 or latents.max() - latents.min() > 2**58
+    log_potential_matrix = model.log_potentials(data)
+    assert len(seen) == 3
+    for matrix, row in zip(seen, latents):
+        values, columns = np.unique(row, return_inverse=True)
+        assert np.array_equal(matrix.columns, columns)
+        assert np.array_equal(matrix.log_values, log_potential_matrix(values))
+
+
+def test_gandk_replicate_block_keeps_each_replicates_columns(monkeypatch):
+    # Cell keys of several replicates share one potential call; each
+    # replicate's matrix still expands to its own latents' potentials.
+    seen = []
+    monkeypatch.setattr(
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+    )
+    model, theta = GandKModel(0.2), np.array([3.0, 1.0, 2.0, 0.5])
+    data = model.simulate(theta, 20, make_stream(81))
+    log_likelihood_estimator(model, data, "biased", 640)(theta, make_stream(82), 5)
+    latents = model.sample_latent(theta, make_stream(82), size=(5, 640))
+    log_potential_matrix = model.log_potentials(data)
+    assert len(seen) == 5
+    for matrix, row in zip(seen, latents):
+        assert matrix.log_values.shape[1] <= 2 * data.size + 1
+        assert np.array_equal(matrix.expanded(), log_potential_matrix(row))
+
+
+def test_replicate_memory_is_one_pass():
+    # 1,000 replicates at 6,400 particles would hold 6.4 million latents,
+    # 51 MB as int64.  The closure runs passes of 10 replicates (64,000
+    # particles), so its peak is one pass's: latents, columns and the
+    # pass's potentials at about 320 columns a replicate, with the
+    # temporaries of their evaluation; 4.3 MB when this was written.
+    model = PoissonBetaModel(sigma=5.0)
+    theta = np.array([500.0, 2.0, 8.0])
+    data = model.simulate(theta, 50, make_stream(83))
+    n_particles, n_replicates = 6400, 1000
+    estimate = log_likelihood_estimator(model, data, "simple", n_particles)
+    pass_particles = (2**16 // n_particles) * n_particles
+    tracemalloc.start()
+    try:
+        logs = estimate(theta, make_stream(84), n_replicates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logs.shape == (n_replicates,) and np.isfinite(logs).all()
+    assert peak < 12 * pass_particles * 8
+
+
+@pytest.mark.parametrize("n_obs", [0, 2])
+def test_estimator_size_follows_numpy(n_obs):
+    # None gives a float, R an array of R, 0 an empty array; a negative
+    # size is an error, as in numpy.
+    model, theta = TwoStateLatentModel(), np.array([0.5])
+    estimate = log_likelihood_estimator(model, np.zeros(n_obs), "recycle", 5)
+    assert isinstance(estimate(theta, make_stream(85)), float)
+    assert estimate(theta, make_stream(85), 3).shape == (3,)
+    assert estimate(theta, make_stream(85), 0).shape == (0,)
+    with pytest.raises(ValueError):
+        estimate(theta, make_stream(85), -1)

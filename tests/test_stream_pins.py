@@ -34,8 +34,20 @@ streams have not moved since they were first recorded:
   before that change and stayed as they were.
 
 Each time the law of the estimator stayed the same; the oracle tests in
-``test_estimators.py`` check it.  Running this file prints the current
-streams as a ``PINS`` literal.
+``test_estimators.py`` check it.
+
+The closure also takes a replicate count, ``estimate(theta, rng, size)``.
+Every case above must give its pinned stream with ``size=1`` too, since a
+pass of one replicate draws exactly as the scalar call.  With more
+replicates per pass the stream differs, so two batched cases are pinned
+on their own in ``BATCHED_PINS``, each from two calls of ``size=10``:
+
+* ``('g-and-k', 'recycle')`` and ``('poisson-beta', 'recycle')``, both at
+  640 particles, where a pass holds 102 replicates: the ten replicates'
+  latents come first, then each kernel's uniforms in turn.
+
+Running this file prints the current streams as ``PINS`` and
+``BATCHED_PINS`` literals.
 """
 
 import numpy as np
@@ -190,6 +202,35 @@ PINS = {
     ),
 }
 
+# Replicates per call of the batched pins: one pass of 10 replicates at
+# 640 particles, so each kernel draws after all ten replicates' latents.
+BATCH_SIZE = 10
+
+# (problem, kind) -> (20 log values from two calls of size 10, generator
+# position after them), laid out as PINS.
+BATCHED_PINS = {
+    ('g-and-k', 'recycle'): (
+        [
+            -46.27896920386818, -47.91906774697889, -47.312779465338544, -48.9882039111599,
+            -47.28712163420615, -46.974890403621856, -46.67749823746578, -49.5695477551006,
+            -48.075633689763016, -48.21143570980644, -47.72411302591792, -48.21167229354425,
+            -47.76763675907838, -47.710731963349865, -47.81929088644278, -48.65631627416517,
+            -46.75612835322353, -47.208592024271375, -48.44739335862203, -47.98772330987772,
+        ],
+        ([3368, 0, 0, 0], 4, 0, 0),
+    ),
+    ('poisson-beta', 'recycle'): (
+        [
+            -271.15055572600903, -269.13541655645474, -270.54925184028036, -269.8503254154847,
+            -269.1878663301895, -270.14072994473514, -267.3202653781957, -268.962514173195,
+            -269.9038352530515, -268.0136573322811, -269.89145373627196, -269.43541804292664,
+            -267.5348614448851, -269.93698488878675, -269.0821541745635, -270.33228064274977,
+            -270.01601120581057, -269.1518728688117, -269.0882839019387, -269.67653522158884,
+        ],
+        ([21085, 0, 0, 0], 1, 0, 0),
+    ),
+}
+
 # The ('two-state', 'perm') values as the enumeration of all 1,680 ordered
 # selections gave them, before the subset dynamic program replaced it.
 ENUMERATED_PERM = [
@@ -201,13 +242,21 @@ ENUMERATED_PERM = [
 ]
 
 
-def _stream(case):
-    """The case's 20 log values and the generator's position after them."""
+def _stream(case, size=None):
+    """The case's 20 log values and the generator's position after them.
+
+    With ``size`` the values come from 20 / size calls of that size.
+    """
     build, n_particles = CASES[case]
     model, theta, data = build()
     estimate = log_likelihood_estimator(model, data, case[1], n_particles)
     rng = make_stream(SEED, 2)
-    log_values = [estimate(theta, rng) for _ in range(20)]
+    if size is None:
+        log_values = [estimate(theta, rng) for _ in range(20)]
+    else:
+        log_values = []
+        for _ in range(20 // size):
+            log_values += estimate(theta, rng, size).tolist()
     state = rng.bit_generator.state
     position = (
         state["state"]["counter"].tolist(),
@@ -223,21 +272,38 @@ def test_log_likelihood_stream_pin(case):
     assert _stream(case) == PINS[case]
 
 
+@pytest.mark.parametrize("case", sorted(CASES), ids="-".join)
+def test_one_replicate_call_keeps_the_stream(case):
+    # size=1 is a pass of one replicate: the scalar call's draws, in order.
+    assert _stream(case, size=1) == PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_PINS), ids="-".join)
+def test_batched_stream_pin(case):
+    assert _stream(case, BATCH_SIZE) == BATCHED_PINS[case]
+
+
 def test_perm_pin_agrees_with_enumeration():
     # The two computations round differently, by a few ulps of the log value.
     pinned = PINS[("two-state", "perm")][0]
     assert pinned == pytest.approx(ENUMERATED_PERM, rel=1e-14)
 
 
-if __name__ == "__main__":
-    # Print the current streams as a PINS literal, in the layout above, so
-    # that a deliberate re-recording is one command and its diff shows
-    # which values moved:  PYTHONPATH=src python tests/test_stream_pins.py
-    print("PINS = {")
-    for case in CASES:
-        log_values, position = _stream(case)
+def _print_pins(name, cases, size=None):
+    print(f"{name} = {{")
+    for case in cases:
+        log_values, position = _stream(case, size)
         print(f"    {case!r}: (\n        [")
         for start in range(0, len(log_values), 4):
             print("            " + " ".join(f"{value!r}," for value in log_values[start : start + 4]))
         print(f"        ],\n        {position!r},\n    ),")
     print("}")
+
+
+if __name__ == "__main__":
+    # Print the current streams as PINS and BATCHED_PINS literals, in the
+    # layout above, so that a deliberate re-recording is one command and
+    # its diff shows which values moved:
+    #     PYTHONPATH=src python tests/test_stream_pins.py
+    _print_pins("PINS", CASES)
+    _print_pins("BATCHED_PINS", BATCHED_PINS, BATCH_SIZE)
