@@ -13,7 +13,8 @@ Four subcommands share one plumbing layer:
 
 Configuration comes from a ``key = value`` file (``#`` starts a comment);
 the ``--seed``, ``--out``, ``--replicates`` and ``--estimator`` flags
-override the corresponding keys.  Observation files hold one finite value
+override the corresponding keys, and a command offers only the flags of
+keys it accepts.  Observation files hold one finite value
 per line.  Every output file starts with a header line naming the tool
 version and master seed, floats are written with 17 significant digits,
 and a failed run removes whatever outputs it created.  Each file is
@@ -443,11 +444,10 @@ def cmd_tune(settings: Settings, workspace: Workspace, seed: int) -> None:
     target = settings.get_float("target", 2.0)
     n_replicates = settings.get_int("replicates", 200)
     max_particles = settings.get_int("max_particles", 10_000_000)
-    probes: list = []
     started = time.perf_counter()
-    tuned = tune_particle_count(
+    tuned, probes = tune_particle_count(
         model, data, theta, kind, target, n_replicates,
-        make_stream(seed, STREAM_TUNE), max_particles, probes,
+        make_stream(seed, STREAM_TUNE), max_particles,
     )
     workspace.write_json(
         "tune.json",
@@ -506,17 +506,15 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
         n_particles, probes = None, []
     else:
         estimator = kind
-        probes = []
         if settings.has("n_particles"):
-            n_particles = settings.get_int("n_particles")
+            n_particles, probes = settings.get_int("n_particles"), []
         else:
-            n_particles = tune_particle_count(
+            n_particles, probes = tune_particle_count(
                 model, data, theta, kind,
                 settings.get_float("target", 2.0),
                 settings.get_int("tune_replicates", 200),
                 make_stream(seed, STREAM_TUNE),
                 settings.get_int("max_particles", 10_000_000),
-                probes,
             )
 
     theta_init = theta if init == "theta" else None
@@ -617,10 +615,13 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", type=Path, help="key = value configuration file")
         sub.add_argument("--seed", type=int, help="master seed (uint64)")
         sub.add_argument("--out", type=Path, help="output directory")
-        sub.add_argument("--replicates", type=int, help="replicate count override")
-        sub.add_argument(
-            "--estimator", choices=ESTIMATOR_KINDS, help="estimator kind override"
-        )
+        # A command offers only the overrides of keys it accepts.
+        if "replicates" in _ALLOWED_KEYS[name]:
+            sub.add_argument("--replicates", type=int, help="replicate count override")
+        if "estimator" in _ALLOWED_KEYS[name]:
+            sub.add_argument(
+                "--estimator", choices=ESTIMATOR_KINDS, help="estimator kind override"
+            )
     return parser
 
 
@@ -651,7 +652,7 @@ def _run(args) -> None:
     else:
         values, base_dir = {}, Path.cwd()
     for key in ("seed", "out", "replicates", "estimator"):
-        override = getattr(args, key)
+        override = getattr(args, key, None)
         if override is not None:
             values[key] = str(override)
     settings = Settings(values, args.command, base_dir)

@@ -367,15 +367,14 @@ def tune_particle_count(
     n_replicates: int,
     rng: np.random.Generator,
     max_particles: int = 10_000_000,
-    probes: list | None = None,
-) -> int:
+) -> tuple[int, list]:
     """Double the particle count until the relative variance reaches the target.
 
     Starts at one particle per observation and doubles, so the simple
     estimator always sees a multiple of the observation count.  Each
     probe measures the relative variance at the reference ``theta`` from
-    ``n_replicates`` fresh replicates; (count, measurement) pairs are
-    appended to ``probes`` when a list is supplied.  Raises
+    ``n_replicates`` fresh replicates.  Returns the tuned count and the
+    list of (count, measurement) pairs of every probe, in order.  Raises
     ``ParticleCountError`` when the next doubling would pass
     ``max_particles``, and ``ValueError`` when the starting count already
     does.
@@ -388,13 +387,13 @@ def tune_particle_count(
             f"max_particles {max_particles} is below the starting count of "
             f"{n_particles} particles, one per observation"
         )
+    probes = []
     while True:
         estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
         measured = relative_variance_of_logs(estimate_fn(theta, rng, n_replicates))
-        if probes is not None:
-            probes.append((n_particles, measured))
+        probes.append((n_particles, measured))
         if measured <= target:
-            return n_particles
+            return n_particles, probes
         if 2 * n_particles > max_particles:
             raise ParticleCountError(
                 f"relative variance {measured:.3g} at {n_particles} particles still "

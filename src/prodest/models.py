@@ -10,33 +10,31 @@ and the MCMC driver:
 * ``sample_latent(theta, rng, size)``, one latent draw per particle; a
   ``size`` of (R, N) draws R replicates of N particles, and (1, N) the
   same numbers as N
-* ``log_potentials(data)``, which checks and binds the observations once
-  (they must be finite, and integer symbols for the two-state model) and
-  returns a function mapping n_particles latents to the
-  (n_obs, n_particles) log potential matrix in one broadcast, one row per
-  observation; entry (p, j) may depend only on observation p and latent j
 * ``latent_keys(data)``, optional, which returns a function mapping
   latents, elementwise, to integer keys such that latents with equal keys
   have equal potential columns; without it a latent is its own key
+* ``log_potentials(data)``, which checks and binds the observations once
+  (they must be finite, and integer symbols for the two-state model) and
+  returns a function mapping K keys to the (n_obs, K) log potential
+  matrix in one broadcast, one row per observation and one column per
+  key; entry (p, j) may depend only on observation p and key j
 * ``simulate(theta, n_obs, rng)``, synthetic observations
 * ``default_prior()``
 
 ``log_likelihood_estimator`` relies on the entry rule and the key rule.
-It evaluates the potentials once per distinct key, on one representative
-latent of that key (the latent itself when latents are their own keys),
-and hands the estimators a compressed ``PotentialMatrix`` whose
-``columns`` map each particle to its key's column.  The distinct keys
-are found by a table over their range or by a sort when that range is
-much wider than the particle count.  Integer latents (Poisson-Beta
-counts, two-state states, fixture support points) are their own keys.
-A g-and-k latent is keyed by its cell among the 2n interval ends: how
-many lower ends lie below it and upper ends at or below it, so a g-and-k
-matrix has at most 2n + 1 columns.  The compressed matrix gives
-the same estimates, bit for bit, for ``simple`` and ``perm``, up to
-rounding for ``biased``, which weighs each column by its particle count,
-and the same law, but not the same fixed-seed stream, for ``recycle``,
-which retires columns rather than particles (see "Recycle kernel" in
-``estimators``).
+It evaluates the potentials once per distinct key and hands the
+estimators a compressed ``PotentialMatrix`` whose ``columns`` map each
+particle to its key's column.  The distinct keys are found by a table
+over their range or by a sort when that range is much wider than the
+particle count.  Integer latents (Poisson-Beta counts, two-state
+states, fixture support points) are their own keys.  A g-and-k latent
+is keyed by its cell among the 2n interval ends: how many lower ends lie
+below it and upper ends at or below it, so a g-and-k matrix has at most
+2n + 1 columns.  The compressed matrix gives the same estimates, bit for
+bit, for ``simple`` and ``perm``, up to rounding for ``biased``, which
+weighs each column by its particle count, and the same law, but not the
+same fixed-seed stream, for ``recycle``, which retires columns rather
+than particles (see "Recycle kernel" in ``estimators``).
 
 The closure also has a replicate axis: ``estimate(theta, rng, size=R)``
 returns R log estimates.  It works in passes of at most 2**16 particles
@@ -388,10 +386,17 @@ class GandKModel:
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return gandk_quantile_transform(rng.standard_normal(size), self.params(theta))
 
+    def _ends(self, centers) -> np.ndarray:
+        # The same doubles that ``interval_log_potential`` compares against.
+        lower = np.nextafter(centers - self.half_width, np.inf)
+        return np.sort(np.concatenate([lower, centers + self.half_width]))
+
     def log_potentials(self, data) -> Callable:
         centers = _observation_column(data)
+        # A latent with key k lies at or above the k-th end and below the next.
+        cells = np.concatenate(([-np.inf], self._ends(centers[:, 0])))
         half_width = self.half_width
-        return lambda x: interval_log_potential(np.asarray(x)[None, :], centers, half_width)
+        return lambda keys: interval_log_potential(cells[keys][None, :], centers, half_width)
 
     def latent_keys(self, data) -> Callable:
         """Key a latent x by its cell: #{p: lo_p < x} + #{p: hi_p <= x}.
@@ -403,10 +408,7 @@ class GandKModel:
         the key fixes which intervals hold x, and with them x's potential
         column.  There are at most 2n + 1 keys, in the order of the latents.
         """
-        centers = _observation_column(data)[:, 0]
-        # The same doubles that ``interval_log_potential`` compares against.
-        lower = np.nextafter(centers - self.half_width, np.inf)
-        ends = np.sort(np.concatenate([lower, centers + self.half_width]))
+        ends = self._ends(_observation_column(data)[:, 0])
         return lambda x: ends.searchsorted(x, "right")
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
@@ -593,8 +595,8 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     asked for.  A pass of R replicates draws its latents in one
     ``sample_latent(theta, rng, size=(R, n_particles))`` call, keys them
     and finds each replicate's distinct keys in one pass, and evaluates
-    the potentials of all replicates in one call.  Each replicate then gets
-    its own ``PotentialMatrix`` and the one kernel of its kind, in order.
+    the potentials of all replicates' keys in one call.  Each replicate
+    then gets its own ``PotentialMatrix`` and the one kernel of its kind.
 
     Stream rule: a pass of one replicate consumes the generator exactly as
     a call with ``size=None`` does, since every model here draws the same
@@ -640,15 +642,6 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
         keys = latents if latent_keys is None else latent_keys(latents)
         # Evaluate the potentials once per distinct key of each replicate.
         values, columns, starts = _distinct_values(keys, block)
-        if keys is not latents:
-            # Any latent of a key stands for all of them.  Its entry in
-            # ``values`` is its row's start past its column.
-            if block > 1:
-                where = (columns.reshape(size) + starts[:-1, None]).reshape(-1)
-            else:
-                where = columns
-            values = np.empty(values.size, dtype=latents.dtype)
-            values[where] = latents
         log_values = log_potential_matrix(values)
         return [
             PotentialMatrix(

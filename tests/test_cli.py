@@ -649,6 +649,43 @@ def test_mcmc_exact_flag_is_config_only(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--replicates", "5"], ["oracle", "--estimator", "recycle"],
+     ["mcmc", "--replicates", "5"]],
+    ids=["oracle-replicates", "oracle-estimator", "mcmc-replicates"],
+)
+def test_flags_of_keys_a_command_rejects_are_not_offered(argv, tmp_path, capsys):
+    # The command's config would reject the key, so argparse has no flag for it.
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + ["--out", tmp_path / "x"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_without_config_uses_defaults(tmp_path, monkeypatch):
+    # No --config: every key takes its default, and the output directory
+    # is ``results`` in the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert run(["estimate", "--replicates", 3]) == 0
+    lines = (tmp_path / "results" / "estimates.csv").read_text().splitlines()
+    assert len(lines) == 2 + 3
+    summary = json.loads((tmp_path / "results" / "estimate_summary.json").read_text())
+    assert summary["problem"] == "gandk" and summary["n_observations"] == 20
+
+
+def test_mcmc_from_the_prior_with_the_exact_likelihood(tmp_path):
+    config = write_config(
+        tmp_path,
+        "model = two-state\nestimator = exact\ninit = prior\n"
+        "chain_length = 20\npilot_length = 0\n",
+    )
+    out = tmp_path / "chain"
+    assert run(["mcmc", "--config", config, "--seed", 3, "--out", out]) == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 2 + 20
+
+
 # ---------------------------------------------------------------------- fuzz
 
 # Odd value texts: zero, negative, non-finite, huge and tiny numbers, and

@@ -246,6 +246,23 @@ def test_run_chain_init_retries_then_fails():
     assert estimator.calls == _MAX_INIT_TRIES
 
 
+def test_run_chain_init_from_prior_draws_until_nonzero():
+    # With no theta_init each attempt draws a fresh theta from the prior,
+    # and the first one with a nonzero estimate starts the chain.
+    seen = []
+
+    def estimator(theta, rng):
+        seen.append(float(theta[0]))
+        return -math.inf if len(seen) < 3 else 0.0
+
+    config = flat_chain_config(5, seed=12, estimator=estimator, theta_init=None)
+    output = run_chain(config)
+    replay = make_stream(12, 0)
+    assert seen[:3] == [config.prior.sample(replay)[0] for _ in range(3)]
+    assert len(set(seen[:3])) == 3
+    assert output.samples.shape == (5, 1)
+
+
 def test_chain_config_validation():
     with pytest.raises(ValueError):
         flat_chain_config(0, seed=0, estimator=lambda t, r: 0.0)
@@ -296,19 +313,18 @@ def test_relative_variance_matches_known_value():
 def test_tune_particle_count_doubles_from_data_size():
     model = TwoStateLatentModel()
     data = model.simulate(np.array([0.4]), 6, make_stream(17))
-    probes = []
-    count = tune_particle_count(
+    count, probes = tune_particle_count(
         model, data, np.array([0.4]), "recycle", target=math.inf,
-        n_replicates=20, rng=make_stream(18), probes=probes,
+        n_replicates=20, rng=make_stream(18),
     )
     assert count == 6
     assert len(probes) == 1 and probes[0][0] == 6
-    probes = []
-    tight = tune_particle_count(
+    tight, probes = tune_particle_count(
         model, data, np.array([0.4]), "recycle", target=0.05,
-        n_replicates=100, rng=make_stream(19), probes=probes,
+        n_replicates=100, rng=make_stream(19),
     )
     assert tight % 6 == 0 and tight / 6 == 2 ** (len(probes) - 1)
+    assert [count for count, _ in probes] == [6 * 2**i for i in range(len(probes))]
     assert probes[-1][1] <= 0.05
 
 
@@ -331,11 +347,11 @@ def test_tune_particle_count_rejects_ceiling_below_start():
             model, data, np.array([0.4]), "recycle", target=1000.0,
             n_replicates=30, rng=make_stream(21), max_particles=5,
         )
-    count = tune_particle_count(
+    count, probes = tune_particle_count(
         model, data, np.array([0.4]), "recycle", target=1000.0,
         n_replicates=30, rng=make_stream(21), max_particles=6,
     )
-    assert count == 6
+    assert count == 6 and len(probes) == 1
 
 
 # ------------------------------------------------------------ effective size

@@ -157,9 +157,10 @@ def test_gandk_model_pieces():
     assert prior.log_density(np.array([3.0, -1.0, 2.0, 0.5])) == -math.inf
     data = model.simulate(np.array([3.0, 1.0, 2.0, 0.5]), 5, make_stream(0))
     potentials = model.log_potentials(data)
-    assert potentials(np.zeros(7)).shape == (5, 7)
+    keys = model.latent_keys(data)
+    assert potentials(keys(np.zeros(7))).shape == (5, 7)
     # A latent draw equal to the observation sits inside its own interval.
-    assert potentials(np.array([data[2]]))[2, 0] == 0.0
+    assert potentials(keys(np.array([data[2]])))[2, 0] == 0.0
 
 
 # -------------------------------------------------------------- Poisson-Beta
@@ -424,7 +425,8 @@ def test_log_potentials_broadcast_matches_scalar_potentials():
     ]
     for model, theta, data, scalar in cases:
         latents = model.sample_latent(theta, rng, size=25)
-        matrix = model.log_potentials(data)(latents)
+        keys = model.latent_keys(data)(latents) if hasattr(model, "latent_keys") else latents
+        matrix = model.log_potentials(data)(keys)
         assert matrix.shape == (len(data), 25)
         for p, y in enumerate(data):
             row = np.array([scalar(x, y) for x in latents], dtype=float)
@@ -509,13 +511,33 @@ def test_gandk_equal_keys_give_equal_potential_columns(case):
     # Latents on every end, one double to either side of it, and in between.
     near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
     between = data.draw(st.lists(st.floats(-2.0, 3.0), max_size=20))
-    latents = np.concatenate([near, between, near])
+    latents = np.concatenate([near, between, near, [-np.inf, np.inf]])
     keys = model.latent_keys(centers)(latents)
-    columns = model.log_potentials(centers)(latents)
+    columns = interval_log_potential(latents[None, :], np.asarray(centers)[:, None], half_width)
+    assert np.array_equal(model.log_potentials(centers)(keys), columns)
     distinct, first = np.unique(keys, return_index=True)
     assert distinct.size <= 2 * len(centers) + 1
     for key, j in zip(distinct, first):
         assert (columns[:, keys == key] == columns[:, [j]]).all()
+
+
+@pytest.mark.parametrize("half_width", [0.25, 0.1, 0.3, 1e-3])
+def test_gandk_potentials_of_keys_are_the_interval_potentials(half_width):
+    # Centres on a grid of h tie ends: 0 + h is 2h - h, and so on; the
+    # repeated centres tie both of their ends.
+    centers = half_width * np.array([0.0, 2.0, 2.0, 4.0, -2.0, 7.0, 0.0])
+    model = GandKModel(half_width)
+    ends = np.concatenate([centers - half_width, centers + half_width])
+    assert np.unique(ends).size < ends.size - 2
+    # Latents on every end, one double to either side of it, at +-inf and
+    # at normal draws around the centres.
+    near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    spread = 4.0 * half_width * make_stream(90).standard_normal(20)
+    latents = np.concatenate([near, [-np.inf, np.inf], spread])
+    expected = interval_log_potential(latents[None, :], centers[:, None], half_width)
+    assert (expected == 0.0).any() and (expected == -np.inf).any()
+    keys = model.latent_keys(centers)(latents)
+    assert np.array_equal(model.log_potentials(centers)(keys), expected)
 
 
 class _FixedGandK(GandKModel):
@@ -544,7 +566,7 @@ def test_gandk_recycle_on_cells_has_the_oracle_law(monkeypatch):
     estimate = log_likelihood_estimator(model, centers, "recycle", latents.size)
     rng = make_stream(44)
     draws = np.exp([estimate(None, rng) for _ in range(10_000)])
-    full = model.log_potentials(centers)(latents)
+    full = model.log_potentials(centers)(model.latent_keys(centers)(latents))
     matrix = matrices[0]
     assert matrix.log_values.shape[1] <= 2 * centers.size + 1
     assert np.array_equal(matrix.expanded(), full)
@@ -657,9 +679,6 @@ def _scalar_reference(model, data, kind, n_particles):
         latents = np.asarray(model.sample_latent(theta, rng, size=n_particles))
         keys = latents if latent_keys is None else latent_keys(latents)
         values, columns = np.unique(keys, return_inverse=True)
-        if keys is not latents:
-            values = np.empty(values.size, dtype=latents.dtype)
-            values[columns] = latents
         matrix = PotentialMatrix(log_potential_matrix(values), columns)
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
@@ -779,10 +798,11 @@ def test_gandk_replicate_block_keeps_each_replicates_columns(monkeypatch):
     log_likelihood_estimator(model, data, "biased", 640)(theta, make_stream(82), 5)
     latents = model.sample_latent(theta, make_stream(82), size=(5, 640))
     log_potential_matrix = model.log_potentials(data)
+    latent_keys = model.latent_keys(data)
     assert len(seen) == 5
     for matrix, row in zip(seen, latents):
         assert matrix.log_values.shape[1] <= 2 * data.size + 1
-        assert np.array_equal(matrix.expanded(), log_potential_matrix(row))
+        assert np.array_equal(matrix.expanded(), log_potential_matrix(latent_keys(row)))
 
 
 def test_replicate_memory_is_one_pass():
