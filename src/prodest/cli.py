@@ -209,7 +209,10 @@ class Workspace:
 
     def _write(self, name: str, fill) -> Path:
         """Write ``name`` by calling ``fill(handle)`` on a temporary file, then rename it."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        # The first write makes the directory, once: a run that fails
+        # before it writes anything leaves no directory behind.
+        if not self.written:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         partial = self.out_dir / f".{name}.{os.getpid()}.tmp"
         self.written.append(partial)
@@ -348,10 +351,11 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
     started = time.perf_counter()
     logs = estimate_fn(theta, rng, n_replicates)
     elapsed = time.perf_counter() - started
+    log_mean = log_mean_exp(logs)
     workspace.write_csv(
         "estimates.csv",
         ("replicate", "log_estimate", "estimate"),
-        ((i, logs[i], exp_or_inf(logs[i])) for i in range(n_replicates)),
+        ((i, log, exp_or_inf(log)) for i, log in enumerate(logs.tolist())),
     )
     workspace.write_json(
         "estimate_summary.json",
@@ -362,8 +366,8 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
             "n_particles": n_particles,
             "n_observations": int(np.asarray(data).size),
             "replicates": n_replicates,
-            "log_mean_estimate": log_mean_exp(logs),
-            "mean_estimate": exp_or_inf(log_mean_exp(logs)),
+            "log_mean_estimate": log_mean,
+            "mean_estimate": exp_or_inf(log_mean),
             "relative_variance": (
                 relative_variance_of_logs(logs) if n_replicates >= 2 else None
             ),

@@ -76,6 +76,16 @@ column.  The picks are columns of ``log_values``.  The estimate and the
 retired columns have the law of the expanded matrix, one column per
 particle, but not in general its fixed-seed stream.
 
+The walk over the factors runs on Python lists, converted once with
+``tolist``: the ``live`` counts, the R_p and the first tries' fields.
+Reading and updating numpy scalars one at a time costs more per factor
+than a list does, and at small n_factors the walk is a large share of
+the kernel.  Only the exact step sees ``live`` as an array, built when
+it runs (about every other g-and-k estimate at n = 20, N = 640).  A
+correction to R_p is one numpy difference over the later factors, added
+entry by entry: the same double additions that an in-place numpy update
+makes, so the list walk gives the array walk's values bit for bit.
+
 Permanent dynamic program
 -------------------------
 ``estimate_perm_exact`` walks the particles (columns of the expanded
@@ -205,15 +215,21 @@ class PotentialMatrix:
         columns = columns.astype(np.intp, copy=False)
         # Every column is some particle's, so a row maximum is a maximum
         # over particles and every bad entry has a particle position.
-        if (
-            columns.min(initial=0) < 0
-            or columns.max(initial=-1) != n_columns - 1
-            or not (counts := np.bincount(columns)).all()
-        ):
+        # ``bincount`` allocates up to the largest column, so a column past
+        # the last is rejected before it.  It raises ValueError on a
+        # negative column, and an uncovered column leaves a zero count.
+        counts = None
+        if columns.max(initial=-1) < n_columns:
+            try:
+                counts = np.bincount(columns, minlength=n_columns)
+            except ValueError:
+                pass
+        if counts is None or np.count_nonzero(counts) != n_columns:
             raise DimensionError(f"columns must map the particles onto all {n_columns} columns")
         check_particle_count(columns.size, n_factors)
-        # NaN compares false too, so one pass rejects NaN and +inf.
-        if not (lv < np.inf).all():
+        # The maximum is NaN if any entry is, so one pass rejects NaN and
+        # +inf; ``lv`` is not empty, since every column has a particle.
+        if not lv.max() < np.inf:
             expanded = lv[:, columns]
             factor, particle = np.argwhere(~(expanded < np.inf))[0]
             raise PotentialValueError(
@@ -374,17 +390,17 @@ def estimate_recycle(
     # retired[p]: factor p's mass over the particles that earlier factors
     # took, if each took its first column; corrected below whenever one
     # takes another column.
-    retired = unit.sum(axis=1, where=rows[:, None] > rows)
+    retired = unit.sum(axis=1, where=rows[:, None] > rows).tolist()
     first_units = unit.diagonal().tolist()
     first_counts = counts[first].tolist()
     shifts, gross = row_max.tolist(), gross.tolist()
     first_columns, uniforms, residuals = first.tolist(), uniforms.tolist(), residuals.tolist()
     # Available particles per column; they rank first among its particles.
-    live = counts.copy()
+    live = counts.tolist()
     picks: list[int] = []
     log_total = 0.0
     for p in range(n_factors):
-        total, lost = gross[p], float(retired[p])
+        total, lost = gross[p], retired[p]
         c, u = first_columns[p], uniforms[p]
         # This guard depends on earlier picks only, not on u.  It keeps the
         # cancellation in total - lost to one bit, and sends a row whose
@@ -399,13 +415,15 @@ def estimate_recycle(
             # The first try fell in the taken share of the mass, so the pick
             # is drawn afresh over the available share.
             u = rng.random()
-        log_average, picked = _exact_step(lv[p], shifts[p], live, u, n_particles - p)
+        log_average, picked = _exact_step(lv[p], shifts[p], np.array(live), u, n_particles - p)
         log_total += log_average
         live[picked] -= 1
         picks.append(picked)
         if picked != c and p + 1 < n_factors:
             later = slice(p + 1, n_factors)
-            retired[later] += np.exp(lv[later, picked] - shift[later]) - unit[later, p]
+            delta = np.exp(lv[later, picked] - shift[later]) - unit[later, p]
+            for q, change in enumerate(delta.tolist(), p + 1):
+                retired[q] += change
     return LogEstimate(log_total), tuple(picks)
 
 

@@ -117,6 +117,10 @@ _DENSE_SPAN = 4
 # from 2**16 particles up.
 _PASS_PARTICLES = 2**16
 
+# Latents that ``GandKModel.latent_keys`` searches at once: a block's
+# arrays, 128 KiB each, stay in a core's cache.
+_KEY_BLOCK = 2**14
+
 # The g-and-k parameters are checked against standard normal draws up to
 # this size.  numpy's generator stays below about 13.7, and no method
 # that maps a uniform double to a normal one passes about 38.5.
@@ -407,9 +411,37 @@ class GandKModel:
         moved up one double.  Those ends are a prefix of the sorted ends, so
         the key fixes which intervals hold x, and with them x's potential
         column.  There are at most 2n + 1 keys, in the order of the latents.
+
+        The key is ``ends.searchsorted(x, "right")``, found by a branchless
+        binary search: on fresh latents the branches of ``searchsorted``
+        mispredict, and the search costs about half as much without them.
+        The ends are padded with ``+inf`` to the next power of two above
+        2n, so that every halving step compares each latent with one end
+        and adds the step where that end is at or below it.  Only ``+inf``
+        counts a padding end, and its key is clamped to 2n.  The latents
+        are searched in blocks of ``_KEY_BLOCK``, so that the steps'
+        temporaries stay in cache: on 327,680 latents at n = 80, one
+        block would take longer than ``searchsorted``.
         """
         ends = self._ends(_observation_column(data)[:, 0])
-        return lambda x: ends.searchsorted(x, "right")
+        n_ends = ends.size
+        padded = np.full(1 << n_ends.bit_length(), np.inf)
+        padded[:n_ends] = ends
+        steps = [padded.size >> k for k in range(1, padded.size.bit_length())]
+
+        def keys(x):
+            x = np.asarray(x)
+            latents = x.reshape(-1)
+            found = np.zeros(latents.size, dtype=np.intp)
+            for start in range(0, latents.size, _KEY_BLOCK):
+                block = found[start : start + _KEY_BLOCK]
+                part = latents[start : start + _KEY_BLOCK]
+                for step in steps:
+                    block += (padded[block + (step - 1)] <= part) * step
+            np.minimum(found, n_ends, out=found)
+            return found.reshape(x.shape)
+
+        return keys
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         return gandk_simulate_data(

@@ -45,12 +45,34 @@ def test_potential_matrix_validation():
         PotentialMatrix(np.zeros(3))
     with pytest.raises(DimensionError):
         PotentialMatrix(np.zeros((3, 2)))  # more factors than particles
-    with pytest.raises(PotentialValueError):
-        PotentialMatrix(np.array([[0.0, math.nan]]))
-    with pytest.raises(PotentialValueError):
-        PotentialMatrix(np.array([[0.0, math.inf]]))
     matrix = PotentialMatrix(np.array([[0.0, NEG_INF]]))
     assert (matrix.n_factors, matrix.n_particles) == (1, 2)
+
+
+_ONTO_ALL = "columns must map the particles onto all 3 columns"
+
+
+@pytest.mark.parametrize(
+    "log_values, columns, error, message",
+    [
+        (np.zeros((2, 3)), [0, -1, 1, 2], DimensionError, _ONTO_ALL),
+        (np.zeros((2, 3)), [0, 1, 2, 3], DimensionError, _ONTO_ALL),
+        (np.zeros((2, 3)), [0, 2, 2, 0], DimensionError, _ONTO_ALL),
+        (
+            np.array([[0.0, 0.0, 0.0], [0.0, 0.0, math.nan]]), [0, 2, 1, 2],
+            PotentialValueError, "log potential nan at factor 1, particle 1",
+        ),
+        (
+            np.array([[0.0, NEG_INF, 0.0], [math.inf, 0.0, 0.0]]), [1, 2, 0, 0],
+            PotentialValueError, "log potential inf at factor 1, particle 2",
+        ),
+    ],
+    ids=["negative-column", "column-past-the-last", "uncovered-column", "nan", "plus-inf"],
+)
+def test_potential_matrix_rejects(log_values, columns, error, message):
+    with pytest.raises(error) as raised:
+        PotentialMatrix(log_values, np.array(columns))
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_potential_matrix_read_only_copy():

@@ -540,6 +540,26 @@ def test_gandk_potentials_of_keys_are_the_interval_potentials(half_width):
     assert np.array_equal(model.log_potentials(centers)(keys), expected)
 
 
+@pytest.mark.parametrize("n_obs", [1, 2, 3, 16, 20, 32, 80])
+def test_gandk_keys_count_the_ends_at_or_below(n_obs):
+    # 2n ends fall on, below and above a power of two.  The keys are the
+    # searchsorted counts of the nudged ends, for a 1-d and an (R, N) input.
+    half_width = 0.2
+    theta = GandKParams(3.0, 1.0, 2.0, 0.5)
+    rng = make_stream(91, n_obs)
+    centers = gandk_simulate_data(theta, n_obs, half_width, rng)
+    ends = np.sort(np.concatenate([np.nextafter(centers - half_width, np.inf), centers + half_width]))
+    near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    draws = gandk_quantile_transform(rng.standard_normal(100_000), theta)
+    latents = np.concatenate([near, [0.0, -0.0, -np.inf, np.inf], draws])
+    keys = GandKModel(half_width).latent_keys(centers)
+    expected = ends.searchsorted(latents, "right")
+    assert np.array_equal(keys(latents), expected)
+    wide = latents[: latents.size // 8 * 8].reshape(8, -1)
+    assert np.array_equal(keys(wide), expected[: wide.size].reshape(wide.shape))
+    assert keys(np.inf) == 2 * n_obs and keys(-np.inf) == 0
+
+
 class _FixedGandK(GandKModel):
     """g-and-k potentials on latents given in advance."""
 

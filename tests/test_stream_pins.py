@@ -46,13 +46,27 @@ on their own in ``BATCHED_PINS``, each from two calls of ``size=10``:
   640 particles, where a pass holds 102 replicates: the ten replicates'
   latents come first, then each kernel's uniforms in turn.
 
-Running this file prints the current streams as ``PINS`` and
-``BATCHED_PINS`` literals.
+One more pin covers the command line: ``CLI_PINS`` holds the sha256 of
+``estimates.csv`` from ``prodest estimate`` on g-and-k at the benchmark's
+``gandk-cli`` point (a fixed 20-line data file, epsilon 0.2, 640
+particles, ``--replicates 10``), for ``recycle`` and ``simple`` on two
+seeds.  It checks the stream and the result writer together, header line
+and number format included, so a version bump re-records it.  At 640
+particles every ``simple`` estimate of these seeds has an empty block and
+is zero, so its pins check the zero path and the writer.
+
+Running this file prints the current streams as ``PINS``,
+``BATCHED_PINS`` and ``CLI_PINS`` literals.
 """
+
+import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from prodest.cli import main
 from prodest.fixtures import DiscreteFixtureModel, get_fixture
 from prodest.models import (
     GandKModel,
@@ -242,6 +256,27 @@ ENUMERATED_PERM = [
 ]
 
 
+# The g-and-k observations of the ``CLI_PINS`` data file, one per line.
+CLI_DATA = [
+    2.5042861841365545, 2.0079807591352874, 2.8618428963572824, 6.497354243812709,
+    1.4468535175606028, 10.849409477067516, 2.9004226033258047, 2.4092297033007926,
+    4.898013360119266, 2.3270469683550488, 2.3247060539296798, 2.5373315360473905,
+    2.5097462711123284, 3.8674464159384594, 5.2866186858388415, 2.4856675507357577,
+    2.819755251594995, 3.5316098064717623, 1.3494226052394487, 2.6708476262224905,
+]
+
+# (kind, seed) pairs of the command-line pin.
+CLI_CASES = [(kind, seed) for kind in ("recycle", "simple") for seed in (7, 8)]
+
+# (kind, seed) -> sha256 of ``estimates.csv``.
+CLI_PINS = {
+    ('recycle', 7): 'c48838ed96155f6882c2b4c96646c95d6374b04ce8ac4eeb0d9f068ffaffb6f8',
+    ('recycle', 8): '04e67bfd59e801f4a97fe4a6210a1af365e0cf8cacf40c01fcd39d0d6ec9a7df',
+    ('simple', 7): 'aaf0169441bca77ca825ef13cf4ce81263a88c93a7e20dbec46cfb163223b550',
+    ('simple', 8): '037fee852c4be8109d934654adbda5b0a09fc3c719c637d5c9717d07badd8c99',
+}
+
+
 def _stream(case, size=None):
     """The case's 20 log values and the generator's position after them.
 
@@ -283,6 +318,26 @@ def test_batched_stream_pin(case):
     assert _stream(case, BATCH_SIZE) == BATCHED_PINS[case]
 
 
+def _cli_digest(kind, seed, work_dir):
+    """sha256 of ``estimates.csv`` from ``prodest estimate`` on the CLI_DATA file."""
+    (work_dir / "data.txt").write_text("".join(f"{value!r}\n" for value in CLI_DATA))
+    config = work_dir / f"{kind}.cfg"
+    config.write_text(
+        "model = gandk\ntheta = 3.0, 1.0, 2.0, 0.5\ndata = data.txt\nepsilon = 0.2\n"
+        f"estimator = {kind}\nn_particles = 640\n"
+    )
+    out = work_dir / f"out-{kind}-{seed}"
+    argv = ["estimate", "--config", str(config), "--seed", str(seed), "--out", str(out),
+            "--replicates", "10"]
+    assert main(argv) == 0
+    return hashlib.sha256((out / "estimates.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=lambda case: f"{case[0]}-{case[1]}")
+def test_cli_estimates_file_pin(case, tmp_path):
+    assert _cli_digest(*case, tmp_path) == CLI_PINS[case]
+
+
 def test_perm_pin_agrees_with_enumeration():
     # The two computations round differently, by a few ulps of the log value.
     pinned = PINS[("two-state", "perm")][0]
@@ -301,9 +356,14 @@ def _print_pins(name, cases, size=None):
 
 
 if __name__ == "__main__":
-    # Print the current streams as PINS and BATCHED_PINS literals, in the
-    # layout above, so that a deliberate re-recording is one command and
-    # its diff shows which values moved:
+    # Print the current streams as PINS, BATCHED_PINS and CLI_PINS
+    # literals, in the layout above, so that a deliberate re-recording is
+    # one command and its diff shows which values moved:
     #     PYTHONPATH=src python tests/test_stream_pins.py
     _print_pins("PINS", CASES)
     _print_pins("BATCHED_PINS", BATCHED_PINS, BATCH_SIZE)
+    print("CLI_PINS = {")
+    with tempfile.TemporaryDirectory() as work_dir:
+        for case in CLI_CASES:
+            print(f"    {case!r}: {_cli_digest(*case, Path(work_dir))!r},")
+    print("}")
