@@ -18,8 +18,13 @@ keys it accepts.  Observation files hold one finite value
 per line.  Every output file starts with a header line naming the tool
 version and master seed, floats are written with 17 significant digits,
 and a failed run removes whatever outputs it created.  Each file is
-written to a temporary name and renamed into place when complete.  Exit
-code 2 flags configuration or validation problems.
+written to a temporary name; once it is complete, the old file of the
+final name is removed just before the new one is renamed in, because a
+rename over an existing file makes ext4 (``auto_da_alloc``) write the
+new data back first.  A concurrent reader can so briefly find no file,
+but never a partial one; nothing is fsynced, so crash durability is not
+promised.  Exit code 2 flags configuration or validation problems, and
+exit code 1 runtime limits and outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -196,10 +201,18 @@ def load_observations(path: Path) -> np.ndarray:
 class Workspace:
     """Output directory with tracked files so failures can clean up.
 
-    Each file is written under a temporary name in the output directory
-    and renamed into place once complete, so no file under its final name
-    is ever partial.  ``discard`` removes the finished files and any
-    temporary file a failed write left behind.
+    Each file is written under a temporary name in the output directory.
+    Once it is complete, any old file of the final name is removed and
+    the temporary file renamed onto the free name, so no file under its
+    final name is ever partial.  The rename never replaces a file:
+    renaming over one makes ext4 (``auto_da_alloc``) write the new file's
+    data back first, which costs more than the write itself on a rerun
+    into the same directory.  What this gives up is that a concurrent
+    reader can briefly find no file, though never a partial one.  Nothing
+    is fsynced, so a crash may lose a file either way.  ``discard``
+    removes the finished files and any temporary file a failed write left
+    behind.  An ``OSError`` from the output path becomes a
+    ``RuntimeError`` naming the file, so the run exits 1.
     """
 
     def __init__(self, out_dir: Path, seed: int):
@@ -209,16 +222,20 @@ class Workspace:
 
     def _write(self, name: str, fill) -> Path:
         """Write ``name`` by calling ``fill(handle)`` on a temporary file, then rename it."""
-        # The first write makes the directory, once: a run that fails
-        # before it writes anything leaves no directory behind.
-        if not self.written:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         partial = self.out_dir / f".{name}.{os.getpid()}.tmp"
-        self.written.append(partial)
-        with partial.open("w") as handle:
-            fill(handle)
-        os.replace(partial, path)
+        try:
+            # The first write makes the directory, once: a run that fails
+            # before it writes anything leaves no directory behind.
+            if not self.written:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+            self.written.append(partial)
+            with partial.open("w") as handle:
+                fill(handle)
+            path.unlink(missing_ok=True)
+            os.replace(partial, path)
+        except OSError as exc:
+            raise RuntimeError(f"cannot write {path}: {exc.strerror or exc}") from None
         self.written.append(path)
         return path
 
@@ -226,20 +243,16 @@ class Workspace:
         def fill(handle):
             handle.write(f"# prodest {__version__} seed={self.seed}\n")
             handle.write(",".join(columns) + "\n")
-            for row in rows:
-                handle.write(",".join(_format_cell(cell) for cell in row) + "\n")
+            # Rows stream: an mcmc trace can have a million of them.
+            handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
 
         return self._write(name, fill)
 
     def write_json(self, name: str, payload: dict) -> Path:
         body = {"tool": f"prodest {__version__}", "master_seed": self.seed}
         body.update(payload)
-
-        def fill(handle):
-            json.dump(_jsonable(body), handle, indent=2)
-            handle.write("\n")
-
-        return self._write(name, fill)
+        text = json.dumps(_jsonable(body), indent=2) + "\n"
+        return self._write(name, lambda handle: handle.write(text))
 
     def discard(self) -> None:
         # A renamed temporary file is already gone; missing_ok covers it.

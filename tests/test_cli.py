@@ -129,6 +129,85 @@ def test_failed_write_during_run_leaves_no_outputs(tmp_path, monkeypatch):
     assert out.is_dir() and not list(out.iterdir())
 
 
+_RERUN_CONFIGS = {
+    "estimate": "fixture = d1\nestimator = recycle\nn_particles = 2\nreplicates = 16\n",
+    "mcmc": "model = two-state\nn_obs = 4\nestimator = recycle\nn_particles = 8\n"
+            "chain_length = 40\npilot_length = 10\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RERUN_CONFIGS))
+def test_rerun_into_existing_outputs_matches_fresh_run(tmp_path, command):
+    # A rerun removes each old file and renames the new one onto its name;
+    # the result must be what a fresh directory gets.
+    config = write_config(tmp_path, _RERUN_CONFIGS[command])
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert run([command, "--config", config, "--seed", 2, "--out", rerun]) == 0
+    before = _outputs(rerun)
+    for out in (rerun, fresh):
+        assert run([command, "--config", config, "--seed", 1, "--out", out]) == 0
+    assert _output_text(rerun) == _output_text(fresh)
+    assert _outputs(rerun) != before
+    assert not list(rerun.glob(".*.tmp"))
+
+
+def test_failed_rerun_leaves_the_old_outputs_and_no_temporary_file(tmp_path, monkeypatch):
+    import prodest.cli as cli
+
+    config = write_config(tmp_path, _RERUN_CONFIGS["estimate"])
+    out = tmp_path / "results"
+    assert run(["estimate", "--config", config, "--seed", 2, "--out", out]) == 0
+    before = _output_text(out)
+    format_cell = cli._format_cell
+    calls = []
+
+    def fail_on_fifth_cell(cell):
+        calls.append(cell)
+        if len(calls) == 5:
+            raise ZeroDivisionError("mid-write")
+        return format_cell(cell)
+
+    monkeypatch.setattr(cli, "_format_cell", fail_on_fifth_cell)
+    with pytest.raises(ZeroDivisionError, match="mid-write"):
+        run(["estimate", "--config", config, "--seed", 1, "--out", out])
+    assert _output_text(out) == before
+
+
+def _unwritable_out_under_a_file(tmp_path):
+    # Like --out /dev/null/x: mkdir meets a file where a directory must be.
+    (tmp_path / "plain").write_text("")
+    return tmp_path / "plain" / "x"
+
+
+def _unwritable_out_with_a_directory_named_like_an_output(tmp_path):
+    out = tmp_path / "results"
+    (out / "estimates.csv").mkdir(parents=True)
+    return out
+
+
+@pytest.mark.parametrize("make_out", [
+    _unwritable_out_under_a_file, _unwritable_out_with_a_directory_named_like_an_output,
+])
+def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys, make_out):
+    out = make_out(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    config = write_config(tmp_path, _RERUN_CONFIGS["estimate"])
+    assert run(["estimate", "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: cannot write {out / 'estimates.csv'}: ")
+    assert sorted(tmp_path.rglob("*")) == before + [Path(config)]
+
+
+def _output_text(out):
+    """Each file's text, JSON without its run time line, hidden files included."""
+    return {
+        path.name: [line for line in path.read_text().splitlines()
+                    if not line.lstrip().startswith('"wall_time_s"')]
+        for path in sorted(out.iterdir())
+    }
+
+
 # -------------------------------------------------------------- estimate run
 
 
