@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import DimensionError, EnumerationLimitError
-from .fixtures import FIXTURES, DiscreteFixtureModel, get_fixture
+from .fixtures import DiscreteFixtureModel, get_fixture
 from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
     ChainConfig,
@@ -86,7 +86,7 @@ _BASE_KEYS = {"seed", "out"}
 _PROBLEM_KEYS = {"model", "fixture", "theta", "n_obs", "data", "epsilon", "sigma", "unit_noise"}
 _ALLOWED_KEYS = {
     "estimate": _BASE_KEYS | _PROBLEM_KEYS | {"estimator", "n_particles", "replicates"},
-    "oracle": _BASE_KEYS | {"fixture", "n_particles", "block_size", "n_obs"},
+    "oracle": _BASE_KEYS | {"fixture", "n_particles", "n_obs"},
     "tune": _BASE_KEYS | _PROBLEM_KEYS | {"estimator", "target", "replicates", "max_particles"},
     "mcmc": (_BASE_KEYS | _PROBLEM_KEYS | {
         "estimator", "n_particles", "chain_length", "pilot_length",
@@ -295,7 +295,7 @@ def _build_problem(settings: Settings, seed: int):
     if model_name and fixture_name:
         raise ConfigError("give either 'model' or 'fixture', not both")
     if fixture_name:
-        fixture = _get_fixture_checked(fixture_name)
+        fixture = get_fixture(fixture_name)
         if fixture.kind != "moments":
             raise ConfigError(
                 f"fixture {fixture.name!r} is a latent model; use the oracle command"
@@ -335,13 +335,6 @@ def _build_problem(settings: Settings, seed: int):
             raise ConfigError(f"n_obs must be >= 1, got {n_obs}")
         data = model.simulate(theta, n_obs, make_stream(seed, STREAM_DATA))
     return model, theta, data, model_name
-
-
-def _get_fixture_checked(name: str):
-    try:
-        return get_fixture(name)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from None
 
 
 def _estimator_kind(settings: Settings, extra=()) -> str:
@@ -390,7 +383,7 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
 
 
 def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
-    fixture = _get_fixture_checked(settings.get_str("fixture", "d1"))
+    fixture = get_fixture(settings.get_str("fixture", "d1"))
     built = fixture.build()
     if fixture.kind == "moments":
         if settings.has("n_obs"):
@@ -402,10 +395,7 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
         if n_factors < 1:
             raise ConfigError(f"n_obs must be >= 1, got {n_factors}")
         n_particles = settings.get_int("n_particles", n_factors + 1)
-    if settings.has("block_size"):
-        block_size = settings.get_int("block_size")
-    else:
-        block_size = n_particles // n_factors if n_particles % n_factors == 0 else None
+    block_size = n_particles // n_factors if n_particles % n_factors == 0 else None
     if fixture.kind == "moments":
         measure, potentials = built
         report = moment_report(measure, potentials, n_particles, block_size)

@@ -108,8 +108,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logspace import exp_or_inf
-
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "DimensionError",
@@ -157,6 +155,20 @@ def check_particle_count(
         raise DimensionError(
             f"need n_particles >= {count_name}, got {n_particles} < {n_factors}"
         )
+
+
+def simple_block_size(
+    n_particles: int, n_factors: int, count_name: str = "n_factors"
+) -> int:
+    """The simple estimator's block size M >= 1, where n_particles = n_factors * M."""
+    check_particle_count(n_particles, n_factors, count_name)
+    block_size, remainder = divmod(n_particles, n_factors)
+    if remainder:
+        raise DimensionError(
+            f"simple estimator needs n_particles divisible by {count_name}, "
+            f"got {n_particles} and {n_factors}"
+        )
+    return block_size
 
 
 @dataclass(frozen=True)
@@ -265,11 +277,6 @@ class LogEstimate:
             raise ValueError(f"log estimate must be in [-inf, inf), got {lv!r}")
         object.__setattr__(self, "log_value", lv)
 
-    @property
-    def value(self) -> float:
-        """Linear-scale value; may underflow to 0.0 or overflow to inf."""
-        return exp_or_inf(self.log_value)
-
 
 def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
     """Block estimator: factor p averaged over its own block of columns.
@@ -278,13 +285,8 @@ def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
     n_particles / n_factors, factor p owns columns [p * block_size,
     (p + 1) * block_size).
     """
-    n_factors, n_particles = matrix.n_factors, matrix.n_particles
-    block_size, remainder = divmod(n_particles, n_factors)
-    if remainder:
-        raise DimensionError(
-            f"simple estimator needs n_particles divisible by n_factors, "
-            f"got {n_particles} and {n_factors}"
-        )
+    n_factors = matrix.n_factors
+    block_size = simple_block_size(matrix.n_particles, n_factors)
     # Row p of ``blocks`` is factor p's block, read in one gather.
     blocks = matrix.log_values[
         np.arange(n_factors)[:, None], matrix.columns.reshape(n_factors, block_size)

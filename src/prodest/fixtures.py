@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .oracle import DiscreteLVM, DiscreteMeasure, DiscretePotentialSet
+from .oracle import DiscreteLVM, DiscreteMeasure, DiscretePotentialSet, check_pair
 
 __all__ = [
     "Fixture",
@@ -99,11 +99,7 @@ class DiscreteFixtureModel:
     theta_dim = 0
 
     def __init__(self, measure: DiscreteMeasure, potentials: DiscretePotentialSet):
-        if potentials.values.shape[1] != measure.n_points:
-            raise ValueError(
-                f"potentials tabulated on {potentials.values.shape[1]} points, "
-                f"measure has {measure.n_points}"
-            )
+        check_pair(measure, potentials)
         self.measure = measure
         self.potentials = potentials
         with np.errstate(divide="ignore"):

@@ -71,6 +71,7 @@ from .estimators import (
     estimate_perm_exact,
     estimate_recycle,
     estimate_simple,
+    simple_block_size,
 )
 
 __all__ = [
@@ -227,9 +228,12 @@ def gandk_simulate_data(
     By default U is itself Uniform(-half_width, half_width), so the
     perturbation has half-width ``half_width**2``.  With
     ``unit_noise=True`` U is Uniform(-1, 1) and the perturbation
-    half-width is ``half_width``.  ``GandKParams`` keeps X finite and
-    ``_check_scale`` keeps the perturbation finite, but their sum may pass
-    the double range; such observations are rejected.
+    half-width is ``half_width``; only then is ``GandKModel``'s target,
+    the window-h ABC likelihood prod_p P(|X - y_p| < h), the likelihood
+    of these observations up to the factor (2h)**n.  ``GandKParams``
+    keeps X finite and ``_check_scale`` keeps the perturbation finite,
+    but their sum may pass the double range; such observations are
+    rejected.
     """
     n_obs = int(n_obs)
     if n_obs < 1:
@@ -368,9 +372,11 @@ class GandKModel:
     """g-and-k latent values observed within a +-half_width window.
 
     The potential for observation y is the unnormalized indicator of
-    (y - half_width, y + half_width); the resulting product of
-    expectations is the likelihood of the uniformly perturbed
-    observations up to a constant factor per observation.
+    (y - h, y + h), h = half_width, so the product of expectations is the
+    window-h ABC likelihood prod_p P(|X - y_p| < h).  Divided by (2h)**n
+    it is the likelihood of Y = X + U(-h, h), the law ``simulate`` draws
+    from only when ``unit_noise`` is set; by default its noise has
+    half-width h**2.
     """
 
     param_names = ("a", "b", "g", "k")
@@ -651,11 +657,8 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     if n_obs == 0:
         return lambda theta, rng, size=None: 0.0 if size is None else np.zeros(int(size))
     check_particle_count(n_particles, n_obs, "n_obs")
-    if kind == "simple" and n_particles % n_obs:
-        raise DimensionError(
-            f"simple estimator needs n_particles divisible by n_obs, "
-            f"got {n_particles} and {n_obs}"
-        )
+    if kind == "simple":
+        simple_block_size(n_particles, n_obs, "n_obs")
     log_potential_matrix = model.log_potentials(data)
     latent_keys = model.latent_keys(data) if hasattr(model, "latent_keys") else None
     per_pass = max(1, _PASS_PARTICLES // n_particles)

@@ -35,6 +35,7 @@ from .estimators import (
     DimensionError,
     EnumerationLimitError,
     check_particle_count,
+    simple_block_size,
 )
 
 __all__ = [
@@ -194,7 +195,8 @@ class MomentReport:
             raise ValueError("ordered-selection moment cannot exceed the recycled one")
 
 
-def _check_pair(measure: DiscreteMeasure, potentials: DiscretePotentialSet):
+def check_pair(measure: DiscreteMeasure, potentials: DiscretePotentialSet):
+    """The pair's (probs, values); raises unless both share the support points."""
     if potentials.values.shape[1] != measure.n_points:
         raise DimensionError(
             f"potentials tabulated on {potentials.values.shape[1]} points, "
@@ -204,7 +206,7 @@ def _check_pair(measure: DiscreteMeasure, potentials: DiscretePotentialSet):
 
 
 def _normalized(measure: DiscreteMeasure, potentials: DiscretePotentialSet) -> np.ndarray:
-    probs, values = _check_pair(measure, potentials)
+    probs, values = check_pair(measure, potentials)
     means = values @ probs
     zero = np.flatnonzero(means <= 0)
     if zero.size:
@@ -216,7 +218,7 @@ def _normalized(measure: DiscreteMeasure, potentials: DiscretePotentialSet) -> n
 
 def mean_product(measure: DiscreteMeasure, potentials: DiscretePotentialSet) -> float:
     """The target: the product over factors of the potential means."""
-    probs, values = _check_pair(measure, potentials)
+    probs, values = check_pair(measure, potentials)
     return float(np.prod(values @ probs))
 
 
@@ -487,16 +489,12 @@ def estimator_distribution_exact(
     shares nothing with the moment-product identities, so agreement
     between the two is a real cross-check.
     """
-    probs, values = _check_pair(measure, potentials)
+    probs, values = check_pair(measure, potentials)
     n_factors = potentials.n_factors
     n_particles = int(n_particles)
     check_particle_count(n_particles, n_factors)
-    block_size, remainder = divmod(n_particles, n_factors)
-    if kind == "simple" and remainder:
-        raise DimensionError(
-            f"simple estimator needs n_particles divisible by n_factors, "
-            f"got {n_particles} and {n_factors}"
-        )
+    if kind == "simple":
+        block_size = simple_block_size(n_particles, n_factors)
     n_points = measure.n_points
     n_assignments = n_points**n_particles
     if kind in ("perm", "recycle"):

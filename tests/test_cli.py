@@ -349,7 +349,16 @@ def test_oracle_latent_fixture_values(tmp_path):
 def test_oracle_unknown_fixture_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, "fixture = d9\n")
     assert run(["oracle", "--config", config, "--out", tmp_path / "x"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown fixture 'd9'; known fixtures: d1, d3, d4\n"
+
+
+def test_oracle_block_size_key_exits_2(tmp_path, capsys):
+    # The block size is derived from n_particles, never given.
+    config = write_config(tmp_path, "fixture = d1\nn_particles = 4\nblock_size = 2\n")
+    out = tmp_path / "results"
+    assert run(["oracle", "--config", config, "--out", out]) == 2
+    assert "unknown config keys for 'oracle': block_size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_latent_fixture_without_observations_exits_2(tmp_path, capsys):
@@ -794,7 +803,6 @@ _VALID = {
     "estimator": st.sampled_from(["recycle", "simple", "perm", "biased", "exact"]),
     "n_particles": _counts(8),
     "replicates": st.integers(2, 5).map(str),
-    "block_size": _counts(8),
     "target": _floats(0.05, 10.0),
     "max_particles": st.integers(4, 64).map(str),
     "chain_length": _counts(5),

@@ -18,7 +18,8 @@ from prodest.estimators import (
     estimate_recycle,
     estimate_simple,
 )
-from prodest.fixtures import DiscreteFixtureModel
+from prodest.fixtures import DiscreteFixtureModel, get_fixture
+from prodest.models import log_likelihood_estimator
 from prodest.oracle import estimator_distribution_exact, recycle_conditional_moments
 from prodest.rng import make_stream
 
@@ -96,9 +97,6 @@ def test_potential_matrix_reports_bad_entry_location():
 
 
 def test_log_estimate_values():
-    assert LogEstimate(0.0).value == 1.0
-    assert LogEstimate(NEG_INF).value == 0.0
-    assert LogEstimate(710.0).value == math.inf
     with pytest.raises(ValueError):
         LogEstimate(math.nan)
     with pytest.raises(ValueError):
@@ -124,6 +122,39 @@ def test_simple_requires_matching_block():
     matrix = PotentialMatrix(np.zeros((2, 3)))
     with pytest.raises(DimensionError, match="divisible"):
         estimate_simple(matrix)
+
+
+# The block rule n_particles = n_factors * block_size has one source; each
+# caller names its factor count.
+_D1 = get_fixture("d1").build()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: estimate_simple(PotentialMatrix(np.zeros((2, 3)))),
+            "simple estimator needs n_particles divisible by n_factors, got 3 and 2",
+        ),
+        (
+            lambda: log_likelihood_estimator(DiscreteFixtureModel(*_D1), [0, 1], "simple", 3),
+            "simple estimator needs n_particles divisible by n_obs, got 3 and 2",
+        ),
+        (
+            lambda: log_likelihood_estimator(DiscreteFixtureModel(*_D1), [0, 1], "simple", 1),
+            "need n_particles >= n_obs, got 1 < 2",
+        ),
+        (
+            lambda: estimator_distribution_exact(*_D1, 3, kind="simple"),
+            "simple estimator needs n_particles divisible by n_factors, got 3 and 2",
+        ),
+    ],
+    ids=["estimate_simple", "closure", "closure-too-few", "oracle"],
+)
+def test_block_rule_messages(call, message):
+    with pytest.raises(DimensionError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_simple_zero_block_gives_zero():

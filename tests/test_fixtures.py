@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from prodest.estimators import DimensionError
 from prodest.fixtures import FIXTURES, DiscreteFixtureModel, get_fixture
 from prodest.oracle import mean_product
 from prodest.rng import make_stream
@@ -33,6 +34,14 @@ def test_fixture_model_interface():
     counts = np.bincount(latents, minlength=measure.n_points)
     check = stats.chisquare(counts, f_exp=measure.probs * 2000)
     assert check.pvalue > 1e-4
+
+
+def test_fixture_model_rejects_a_mismatched_pair():
+    measure, _ = get_fixture("d1").build()
+    _, potentials = get_fixture("d3").build()
+    with pytest.raises(DimensionError) as raised:
+        DiscreteFixtureModel(measure, potentials)
+    assert str(raised.value) == "potentials tabulated on 4 points, measure has 2"
 
 
 def test_fixture_model_target_matches_oracle():

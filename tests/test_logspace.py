@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 import prodest
-from prodest.logspace import _logsumexp, log_mean_exp
+from prodest.logspace import _logsumexp, exp_or_inf, log_mean_exp
 
 
 finite_logs = st.lists(
@@ -32,6 +32,12 @@ def test_log_mean_exp_handles_large_magnitudes():
 
 def test_log_mean_exp_all_zero_terms():
     assert log_mean_exp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+def test_exp_or_inf():
+    assert exp_or_inf(0.0) == 1.0
+    assert exp_or_inf(-math.inf) == 0.0
+    assert exp_or_inf(710.0) == math.inf
 
 
 # A few values drawn many times, so the maximum is often tied, plus -inf

@@ -4,6 +4,8 @@ A name in a module's ``__all__`` must be read somewhere in ``src/`` or
 ``scripts/``: as a plain name or as an attribute, in its own module or
 another.  Its definition, its ``__all__`` entry and its imports do not
 count.
+Each public method and property of a public class must be read as an
+attribute there.
 
 A parameter with a default, of a public function, of a public method of
 a public class, or of a public class's constructor, must be passed in
@@ -46,15 +48,15 @@ def _public_modules():
 
 
 def _names_read():
-    """Every name read as a variable or attribute in src/ and scripts/."""
-    read = set()
+    """Names read in src/ and scripts/: (as variables, as attributes)."""
+    variables, attributes = set(), set()
     for tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                variables.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return read
+                attributes.add(node.attr)
+    return variables, attributes
 
 
 def _calls_by_name():
@@ -96,8 +98,18 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     return position is not None and len(call.args) > position
 
 
+def _public_classes():
+    """``(label, class)`` of each public class that is not an exception."""
+    for module_name, module in _public_modules():
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and not issubclass(obj, BaseException):
+                yield f"{module_name}.{name}", obj
+
+
 def test_every_public_name_has_a_caller_outside_tests():
-    read = _names_read()
+    variables, attributes = _names_read()
+    read = variables | attributes
     unused = [
         f"{module_name}.{name}"
         for module_name, module in _public_modules()
@@ -105,6 +117,22 @@ def test_every_public_name_has_a_caller_outside_tests():
         if name not in read
     ]
     assert not unused, f"public names that only tests use: {unused}"
+
+
+_DESCRIPTORS = (property, classmethod, staticmethod)
+
+
+def test_every_public_method_and_property_is_read_outside_tests():
+    _, attributes = _names_read()
+    unused = [
+        f"{label}.{attr}"
+        for label, cls in _public_classes()
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, _DESCRIPTORS))
+        and attr not in attributes
+    ]
+    assert not unused, f"public methods and properties that only tests use: {unused}"
 
 
 def test_every_optional_parameter_is_passed_outside_tests():
