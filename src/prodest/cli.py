@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import DimensionError, EnumerationLimitError
+from .estimators import DimensionError, EnumerationLimitError, simple_block_size
 from .fixtures import DiscreteFixtureModel, get_fixture
 from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
@@ -395,10 +395,9 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
         if n_factors < 1:
             raise ConfigError(f"n_obs must be >= 1, got {n_factors}")
         n_particles = settings.get_int("n_particles", n_factors + 1)
-    block_size = n_particles // n_factors if n_particles % n_factors == 0 else None
     if fixture.kind == "moments":
         measure, potentials = built
-        report = moment_report(measure, potentials, n_particles, block_size)
+        report = moment_report(measure, potentials, n_particles)
         workspace.write_csv(
             "oracle.csv",
             (
@@ -421,11 +420,12 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
         return
     lvm, n_obs = built, n_factors
     enumerated, closed_form, constant = latent_expected_second_moment(lvm, n_obs, n_particles)
-    simple_closed = (
-        latent_expected_second_moment_simple(lvm, n_obs, block_size)
-        if block_size is not None
-        else None
-    )
+    try:
+        block_size = simple_block_size(n_particles, n_obs)
+    except DimensionError:
+        block_size = simple_closed = None
+    else:
+        simple_closed = latent_expected_second_moment_simple(lvm, n_obs, block_size)
     workspace.write_csv(
         "oracle.csv",
         (
@@ -637,8 +637,9 @@ def main(argv=None) -> int:
     try:
         _run(args)
         return 0
-    # PotentialValueError subclasses ValueError, so bad potentials exit 2.
-    except (ConfigError, ValueError, KeyError, DimensionError) as exc:
+    # DimensionError and PotentialValueError subclass ValueError, so bad
+    # shapes and potentials exit 2.
+    except (ConfigError, ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -99,10 +99,21 @@ starting from f[{}] = 0 and f[S] = -inf otherwise.  The estimate is
 f[all factors] - log(n_particles! / (n_particles - n_factors)!).  The
 ``max_terms`` cap counts the n_particles * 2**n_factors * n_factors
 updates.
+
+The index arrays of those updates (the factor p, the subset S - {p} and
+the position of each candidate) depend on n_factors alone.  A private
+memo builds them once, read-only, and keeps those of the last factor
+count: three int64 arrays of n_factors * 2**(n_factors - 1) entries,
+about 6 MB at n_factors = 15, the largest count the default cap admits.
+Each column's log-sum-exp shifts by the subset's maximum, clamped in the
+same call to at least the lowest finite double, so an all -inf subset
+shifts by a finite value and its weights are exact zeros.  Its total is
+then 0, whose log is -inf, and f[S] stays -inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -462,6 +473,23 @@ def _exact_step(
     return -np.inf, int(live.cumsum().searchsorted(u * n_available, "right"))
 
 
+@functools.lru_cache(maxsize=1)
+def _subset_indices(n_factors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays of the permanent dynamic program for n_factors.
+
+    One entry per (factor p, subset S containing p) pair: ``factor`` is p,
+    ``smaller`` is S without p, and ``landing`` is the flat position of
+    terms[p + 1, S].
+    """
+    n_sets = 1 << n_factors
+    factor, subset = np.nonzero((np.arange(n_sets) >> np.arange(n_factors)[:, None]) & 1)
+    smaller = subset ^ (1 << factor)
+    landing = n_sets * (factor + 1) + subset
+    for index in (factor, smaller, landing):
+        index.flags.writeable = False
+    return factor, smaller, landing
+
+
 def estimate_perm_exact(
     matrix: PotentialMatrix, max_terms: int = DEFAULT_ENUMERATION_CAP
 ) -> LogEstimate:
@@ -483,26 +511,22 @@ def estimate_perm_exact(
             f"permanent infeasible: {n_updates} subset updates "
             f"(n_particles * 2**n_factors * n_factors) exceed the cap of {max_terms}"
         )
-    # Every (factor p, subset S containing p) pair, and S without p.
-    factor, subset = np.nonzero((np.arange(n_sets) >> np.arange(n_factors)[:, None]) & 1)
-    smaller = subset ^ (1 << factor)
+    factor, smaller, landing = _subset_indices(n_factors)
     # terms[0] holds f; terms[p + 1, S] the candidate f[S - {p}] + log_values[p, j],
     # and stays -inf where p is not in S.
     terms = np.full((n_factors + 1, n_sets), -np.inf)
-    landing = n_sets * (factor + 1) + subset
     flat_terms = terms.reshape(-1)
     weights = np.empty_like(terms)
     log_sums = terms[0]
     log_sums[0] = 0.0
-    for column in matrix.expanded().T:
-        flat_terms[landing] = log_sums[smaller] + column[factor]
-        top = terms.max(axis=0)
-        np.subtract(terms, np.maximum(top, _LOWEST), out=weights)
-        np.exp(weights, out=weights)
-        total = weights.sum(axis=0)
-        # A finite ``top`` contributes exp(0) = 1, so this only turns the
-        # zero total of an all -inf subset into log(1) = 0 and keeps it -inf.
-        np.maximum(total, 1.0, out=total)
-        np.log(total, out=total)
-        np.add(top, total, out=log_sums)
+    # An all -inf subset has a zero total, whose log is -inf.
+    with np.errstate(divide="ignore"):
+        for column in matrix.expanded().T:
+            flat_terms[landing] = log_sums[smaller] + column[factor]
+            top = terms.max(axis=0, initial=_LOWEST)
+            np.subtract(terms, top, out=weights)
+            np.exp(weights, out=weights)
+            total = weights.sum(axis=0)
+            np.log(total, out=total)
+            np.add(top, total, out=log_sums)
     return LogEstimate(log_sums[-1] - math.log(math.perm(n_particles, n_factors)))

@@ -534,21 +534,23 @@ def moment_report(
     measure: DiscreteMeasure,
     potentials: DiscretePotentialSet,
     n_particles: int,
-    block_size: int | None = None,
     max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> MomentReport:
-    """Bundle the exact target and relative second moments for one problem size."""
-    simple = None
-    if block_size is not None:
-        if potentials.n_factors * int(block_size) != int(n_particles):
-            raise DimensionError(
-                "block_size must satisfy n_particles == n_factors * block_size"
-            )
+    """Bundle the exact target and relative second moments for one problem size.
+
+    The simple estimator's moment is reported when its block rule admits
+    ``n_particles`` (see ``simple_block_size``), and is ``None`` otherwise.
+    """
+    try:
+        block_size = simple_block_size(n_particles, potentials.n_factors)
+    except DimensionError:
+        block_size, simple = None, None
+    else:
         simple = second_moment_simple_exact(measure, potentials, block_size)
     return MomentReport(
         n_factors=potentials.n_factors,
         n_particles=int(n_particles),
-        block_size=None if block_size is None else int(block_size),
+        block_size=block_size,
         mean_product=mean_product(measure, potentials),
         second_moment_simple=simple,
         second_moment_perm=second_moment_perm_exact(

@@ -797,6 +797,47 @@ def test_perm_ten_factors_forty_particles():
     assert estimate.log_value < 0.0
 
 
+def _perm_pin_matrices():
+    """Seeded log matrices with -inf entries, an all -inf row, and a late factor."""
+    cases = {}
+    for n_factors in range(1, 8):
+        rng = np.random.default_rng(2000 + n_factors)
+        values = rng.normal(size=(n_factors, n_factors + 3))
+        values[rng.random(values.shape) < 0.3] = NEG_INF
+        cases[f"seeded_{n_factors}"] = values
+    row = np.random.default_rng(2010).normal(size=(3, 5))
+    row[1] = NEG_INF
+    cases["all_inf_row"] = row
+    # Factor 2 vanishes on the first five particles, so every subset that
+    # holds it keeps a zero total for five columns.
+    late = np.random.default_rng(2011).normal(size=(4, 8))
+    late[2, :5] = NEG_INF
+    cases["late_factor"] = late
+    return cases
+
+
+# The permanent's log values, bit for bit, as `repr`.
+PERM_PINS = {
+    "seeded_1": "0.6417492823547606",
+    "seeded_2": "-0.23019675202295709",
+    "seeded_3": "-0.37665074831463574",
+    "seeded_4": "2.174644680637816",
+    "seeded_5": "0.44494485168429065",
+    "seeded_6": "2.803976872130871",
+    "seeded_7": "-1.0826060661221124",
+    "all_inf_row": "-inf",
+    "late_factor": "1.6229997793042061",
+}
+
+
+def test_perm_pinned_bit_for_bit():
+    got = {
+        name: repr(estimate_perm_exact(PotentialMatrix(values)).log_value)
+        for name, values in _perm_pin_matrices().items()
+    }
+    assert got == PERM_PINS
+
+
 # -------------------------------------------------------------------- draws
 
 

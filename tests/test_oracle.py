@@ -356,12 +356,25 @@ def test_recycle_conditional_mean_is_perm():
 
 def test_moment_report_pinned():
     measure, potentials = D1
-    report = moment_report(measure, potentials, n_particles=2, block_size=1)
+    report = moment_report(measure, potentials, n_particles=2)
+    assert report.block_size == 1
     assert report.mean_product == pytest.approx(0.25)
     assert report.second_moment_simple == pytest.approx(4.0)
     assert report.second_moment_perm == pytest.approx(2.0)
     assert report.second_moment_recycle == pytest.approx(2.0)
     assert report.factor_relvars == pytest.approx([1.0, 1.0])
+
+
+def test_moment_report_derives_the_block_size():
+    measure, potentials = D1
+    # Two factors over three particles: the block rule does not divide.
+    report = moment_report(measure, potentials, n_particles=3)
+    assert report.block_size is None
+    assert report.second_moment_simple is None
+    # Over four, blocks of two: prod_p (1 + c_p / 2) with c_p = 1.
+    report = moment_report(measure, potentials, n_particles=4)
+    assert report.block_size == 2
+    assert report.second_moment_simple == pytest.approx(1.5**2)
 
 
 def test_moment_report_validation():
