@@ -14,17 +14,19 @@ Four subcommands share one plumbing layer:
 Configuration comes from a ``key = value`` file (``#`` starts a comment);
 the ``--seed``, ``--out``, ``--replicates`` and ``--estimator`` flags
 override the corresponding keys, and a command offers only the flags of
-keys it accepts.  Observation files hold one finite value
-per line.  Every output file starts with a header line naming the tool
-version and master seed, floats are written with 17 significant digits,
-and a failed run removes whatever outputs it created.  Each file is
-written to a temporary name; once it is complete, the old file of the
-final name is removed just before the new one is renamed in, because a
-rename over an existing file makes ext4 (``auto_da_alloc``) write the
-new data back first.  A concurrent reader can so briefly find no file,
-but never a partial one; nothing is fsynced, so crash durability is not
-promised.  Exit code 2 flags configuration or validation problems, and
-exit code 1 runtime limits and outputs that cannot be written.
+keys it accepts.  A flag hands its text to ``Settings`` as its key would,
+so both accept exactly the same values with the same errors.
+Observation files hold one finite value per line.  Every output file
+starts with a header line naming the tool version and master seed,
+floats are written with 17 significant digits, and a failed run removes
+whatever outputs it created.  Each file is written to a temporary name;
+once it is complete, the old file of the final name is removed just
+before the new one is renamed in, because a rename over an existing file
+makes ext4 (``auto_da_alloc``) write the new data back first.  A
+concurrent reader can so briefly find no file, but never a partial one;
+nothing is fsynced, so crash durability is not promised.  Exit code 2
+flags configuration or validation problems, and exit code 1 runtime
+limits and outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
     ChainConfig,
     ParticleCountError,
+    _ess_by_coordinate,
     initial_proposal,
     relative_variance_of_logs,
     run_chain,
@@ -95,6 +98,14 @@ _ALLOWED_KEYS = {
     }) - {"fixture"},
 }
 
+# The estimator kinds of each command that takes one; an mcmc chain can
+# also run on the exact likelihood.
+_ESTIMATORS = {
+    "estimate": ESTIMATOR_KINDS,
+    "tune": ESTIMATOR_KINDS,
+    "mcmc": ESTIMATOR_KINDS + ("exact",),
+}
+
 
 class ConfigError(Exception):
     """A configuration file or value could not be used."""
@@ -121,7 +132,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 class Settings:
-    """Typed access to config values with per-command key validation."""
+    """The one place a config value, from the file or a flag, is parsed and checked."""
 
     def __init__(self, values: dict[str, str], command: str, base_dir: Path):
         unknown = set(values) - _ALLOWED_KEYS[command]
@@ -147,11 +158,30 @@ class Settings:
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r} must be {kind}, got {raw!r}") from None
 
-    def get_int(self, key: str, default=None):
-        return self._converted(key, default, lambda s: int(s, 0), "an integer")
+    def get_int(self, key: str, default=None, *, low=None):
+        """An integer as ``int(value, 0)`` reads it, at least ``low`` if given."""
+        value = self._converted(key, default, lambda s: int(s, 0), "an integer")
+        if low is not None and value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
+        return value
 
     def get_float(self, key: str, default=None):
         return self._converted(key, default, float, "a number")
+
+    def get_fraction(self, key: str, default: float) -> float:
+        value = self.get_float(key, default)
+        if not 0.0 <= value < 1.0:
+            raise ConfigError(f"{key} must lie in [0, 1), got {value}")
+        return value
+
+    def get_choice(self, key: str, default: str, choices) -> str:
+        """One of ``choices``, given in any case."""
+        def convert(raw: str) -> str:
+            if raw.lower() not in choices:
+                raise ValueError(raw)
+            return raw.lower()
+
+        return self._converted(key, default, convert, f"one of {', '.join(choices)}")
 
     def get_bool(self, key: str, default=None):
         def convert(raw: str) -> bool:
@@ -262,6 +292,8 @@ class Workspace:
 
 
 def _format_cell(cell) -> str:
+    if cell is None:
+        return ""
     if isinstance(cell, (bool, np.bool_)):
         return "1" if cell else "0"
     if isinstance(cell, (int, np.integer)):
@@ -290,11 +322,10 @@ def _jsonable(value):
 
 def _build_problem(settings: Settings, seed: int):
     """Resolve (model, theta, data, label) from the model/fixture keys."""
-    model_name = settings.get_str("model")
     fixture_name = settings.get_str("fixture")
-    if model_name and fixture_name:
-        raise ConfigError("give either 'model' or 'fixture', not both")
     if fixture_name:
+        if settings.has("model"):
+            raise ConfigError("give either 'model' or 'fixture', not both")
         fixture = get_fixture(fixture_name)
         if fixture.kind != "moments":
             raise ConfigError(
@@ -304,11 +335,7 @@ def _build_problem(settings: Settings, seed: int):
         if settings.has("theta") or settings.has("n_obs") or settings.has("data"):
             raise ConfigError("fixtures have no theta, n_obs or data keys")
         return model, np.zeros(0), model.factor_indices, f"fixture:{fixture.name}"
-    model_name = (model_name or "gandk").lower()
-    if model_name not in _MODEL_DEFAULTS:
-        raise ConfigError(
-            f"unknown model {model_name!r}; known models: {', '.join(sorted(_MODEL_DEFAULTS))}"
-        )
+    model_name = settings.get_choice("model", "gandk", _MODEL_DEFAULTS)
     theta_default, n_obs_default = _MODEL_DEFAULTS[model_name]
     if model_name == "gandk":
         model = GandKModel(
@@ -330,28 +357,30 @@ def _build_problem(settings: Settings, seed: int):
     if data_path is not None:
         data = load_observations(settings.resolve_path(data_path))
     else:
-        n_obs = settings.get_int("n_obs", n_obs_default)
-        if n_obs < 1:
-            raise ConfigError(f"n_obs must be >= 1, got {n_obs}")
+        n_obs = settings.get_int("n_obs", n_obs_default, low=1)
         data = model.simulate(theta, n_obs, make_stream(seed, STREAM_DATA))
     return model, theta, data, model_name
 
 
-def _estimator_kind(settings: Settings, extra=()) -> str:
-    kind = (settings.get_str("estimator", "recycle")).lower()
-    allowed = tuple(ESTIMATOR_KINDS) + tuple(extra)
-    if kind not in allowed:
-        raise ConfigError(f"unknown estimator {kind!r}; expected one of {allowed}")
-    return kind
+def _tune_particles(settings: Settings, model, data, theta, kind: str, seed: int,
+                    replicates_key: str):
+    """Tune the particle count; returns (count, probe records, target, replicates)."""
+    target = settings.get_float("target", 2.0)
+    n_replicates = settings.get_int(replicates_key, 200)
+    max_particles = settings.get_int("max_particles", 10_000_000)
+    tuned, probes = tune_particle_count(
+        model, data, theta, kind, target, n_replicates,
+        make_stream(seed, STREAM_TUNE), max_particles,
+    )
+    records = [{"n_particles": count, "relative_variance": rv} for count, rv in probes]
+    return tuned, records, target, n_replicates
 
 
 def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
     model, theta, data, label = _build_problem(settings, seed)
-    kind = _estimator_kind(settings)
+    kind = settings.get_choice("estimator", "recycle", _ESTIMATORS["estimate"])
     n_particles = settings.get_int("n_particles", int(np.asarray(data).size))
-    n_replicates = settings.get_int("replicates", 1000)
-    if n_replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {n_replicates}")
+    n_replicates = settings.get_int("replicates", 1000, low=1)
     estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
     rng = make_stream(seed, STREAM_ESTIMATE)
     started = time.perf_counter()
@@ -388,15 +417,8 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
     if fixture.kind == "moments":
         if settings.has("n_obs"):
             raise ConfigError(f"fixture {fixture.name!r} takes no n_obs")
-        n_factors = built[1].n_factors
-        n_particles = settings.get_int("n_particles", n_factors)
-    else:
-        n_factors = settings.get_int("n_obs", 1)
-        if n_factors < 1:
-            raise ConfigError(f"n_obs must be >= 1, got {n_factors}")
-        n_particles = settings.get_int("n_particles", n_factors + 1)
-    if fixture.kind == "moments":
         measure, potentials = built
+        n_particles = settings.get_int("n_particles", potentials.n_factors)
         report = moment_report(measure, potentials, n_particles)
         workspace.write_csv(
             "oracle.csv",
@@ -406,19 +428,15 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
                 "factor_relvars",
             ),
             [(
-                fixture.name,
-                report.n_factors,
-                report.n_particles,
-                "" if report.block_size is None else report.block_size,
-                report.mean_product,
-                "" if report.second_moment_simple is None else report.second_moment_simple,
-                report.second_moment_perm,
+                fixture.name, report.n_factors, report.n_particles, report.block_size,
+                report.mean_product, report.second_moment_simple, report.second_moment_perm,
                 report.second_moment_recycle,
                 ";".join(format(c, ".17g") for c in report.factor_relvars),
             )],
         )
         return
-    lvm, n_obs = built, n_factors
+    lvm, n_obs = built, settings.get_int("n_obs", 1, low=1)
+    n_particles = settings.get_int("n_particles", n_obs + 1)
     enumerated, closed_form, constant = latent_expected_second_moment(lvm, n_obs, n_particles)
     try:
         block_size = simple_block_size(n_particles, n_obs)
@@ -433,28 +451,18 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
             "recycle_enumerated", "recycle_closed_form", "simple_closed_form",
         ),
         [(
-            fixture.name,
-            n_obs,
-            n_particles,
-            "" if block_size is None else block_size,
-            constant,
-            enumerated,
-            closed_form,
-            "" if simple_closed is None else simple_closed,
+            fixture.name, n_obs, n_particles, block_size, constant,
+            enumerated, closed_form, simple_closed,
         )],
     )
 
 
 def cmd_tune(settings: Settings, workspace: Workspace, seed: int) -> None:
     model, theta, data, label = _build_problem(settings, seed)
-    kind = _estimator_kind(settings)
-    target = settings.get_float("target", 2.0)
-    n_replicates = settings.get_int("replicates", 200)
-    max_particles = settings.get_int("max_particles", 10_000_000)
+    kind = settings.get_choice("estimator", "recycle", _ESTIMATORS["tune"])
     started = time.perf_counter()
-    tuned, probes = tune_particle_count(
-        model, data, theta, kind, target, n_replicates,
-        make_stream(seed, STREAM_TUNE), max_particles,
+    tuned, probes, target, n_replicates = _tune_particles(
+        settings, model, data, theta, kind, seed, "replicates"
     )
     workspace.write_json(
         "tune.json",
@@ -465,10 +473,7 @@ def cmd_tune(settings: Settings, workspace: Workspace, seed: int) -> None:
             "target": target,
             "replicates": n_replicates,
             "n_particles": tuned,
-            "probes": [
-                {"n_particles": count, "relative_variance": measured}
-                for count, measured in probes
-            ],
+            "probes": probes,
             "wall_time_s": time.perf_counter() - started,
         },
     )
@@ -476,27 +481,13 @@ def cmd_tune(settings: Settings, workspace: Workspace, seed: int) -> None:
 
 def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     model, theta, data, label = _build_problem(settings, seed)
-    kind = _estimator_kind(settings, extra=("exact",))
-    chain_length = settings.get_int("chain_length", 2000)
-    if chain_length < 1:
-        raise ConfigError(f"chain_length must be >= 1, got {chain_length}")
-    pilot_length = settings.get_int("pilot_length", max(chain_length // 10, 200))
-    if pilot_length < 0:
-        raise ConfigError(f"pilot_length must be >= 0, got {pilot_length}")
-    pilot_stages = settings.get_int("pilot_stages", 1)
-    if pilot_stages < 1:
-        raise ConfigError(f"pilot_stages must be >= 1, got {pilot_stages}")
-    burn_in = settings.get_float("burn_in", 0.5)
-    if not 0.0 <= burn_in < 1.0:
-        raise ConfigError(f"burn_in must lie in [0, 1), got {burn_in}")
-    proposal_scale = settings.get_str("proposal_scale", "literal")
-    if proposal_scale not in ("literal", "squared"):
-        raise ConfigError(
-            f"proposal_scale must be 'literal' or 'squared', got {proposal_scale!r}"
-        )
-    init = settings.get_str("init", "theta")
-    if init not in ("theta", "prior"):
-        raise ConfigError(f"init must be 'theta' or 'prior', got {init!r}")
+    kind = settings.get_choice("estimator", "recycle", _ESTIMATORS["mcmc"])
+    chain_length = settings.get_int("chain_length", 2000, low=1)
+    pilot_length = settings.get_int("pilot_length", max(chain_length // 10, 200), low=0)
+    pilot_stages = settings.get_int("pilot_stages", 1, low=1)
+    burn_in = settings.get_fraction("burn_in", 0.5)
+    proposal_scale = settings.get_choice("proposal_scale", "literal", ("literal", "squared"))
+    init = settings.get_choice("init", "theta", ("theta", "prior"))
     prior = model.default_prior()
     if init == "theta" and prior.log_density(theta) == -math.inf:
         raise ConfigError(
@@ -516,12 +507,8 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
         if settings.has("n_particles"):
             n_particles, probes = settings.get_int("n_particles"), []
         else:
-            n_particles, probes = tune_particle_count(
-                model, data, theta, kind,
-                settings.get_float("target", 2.0),
-                settings.get_int("tune_replicates", 200),
-                make_stream(seed, STREAM_TUNE),
-                settings.get_int("max_particles", 10_000_000),
+            n_particles, probes, _, _ = _tune_particles(
+                settings, model, data, theta, kind, seed, "tune_replicates"
             )
 
     theta_init = theta if init == "theta" else None
@@ -574,15 +561,13 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             "problem": label,
             "estimator": kind,
             "n_particles": n_particles,
-            "tuning_probes": [
-                {"n_particles": count, "relative_variance": measured}
-                for count, measured in probes
-            ],
+            "tuning_probes": probes,
             "chain_length": chain_length,
             "burn_in": burn_in,
             "pilot": pilot_summary,
             "acceptance_rate": output.acceptance_rate,
             "ess": output.ess,
+            "ess_after_burn_in": _ess_by_coordinate(kept),
             "posterior_mean": {
                 name: float(kept[:, j].mean()) for j, name in enumerate(names)
             },
@@ -619,15 +604,19 @@ def _parser() -> argparse.ArgumentParser:
     }
     for name, help_text in descriptions.items():
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--config", type=Path, help="key = value configuration file")
-        sub.add_argument("--seed", type=int, help="master seed (uint64)")
-        sub.add_argument("--out", type=Path, help="output directory")
+        sub.add_argument(
+            "--config", type=Path, metavar="FILE", help="key = value configuration file"
+        )
+        # Overrides stay text: Settings parses them as it parses keys.
+        sub.add_argument("--seed", metavar="U64", help="master seed (uint64)")
+        sub.add_argument("--out", metavar="DIR", help="output directory")
         # A command offers only the overrides of keys it accepts.
         if "replicates" in _ALLOWED_KEYS[name]:
-            sub.add_argument("--replicates", type=int, help="replicate count override")
+            sub.add_argument("--replicates", metavar="R", help="replicate count override")
         if "estimator" in _ALLOWED_KEYS[name]:
             sub.add_argument(
-                "--estimator", choices=ESTIMATOR_KINDS, help="estimator kind override"
+                "--estimator", metavar="KIND",
+                help=f"estimator kind override: {', '.join(_ESTIMATORS[name])}",
             )
     return parser
 
@@ -662,7 +651,7 @@ def _run(args) -> None:
     for key in ("seed", "out", "replicates", "estimator"):
         override = getattr(args, key, None)
         if override is not None:
-            values[key] = str(override)
+            values[key] = override
     settings = Settings(values, args.command, base_dir)
     seed = settings.get_int("seed", 1)
     workspace = Workspace(Path(settings.get_str("out", "results")), seed)

@@ -285,16 +285,12 @@ def run_chain(config: ChainConfig) -> ChainOutput:
         samples[t] = state.theta
         log_like_trace[t] = state.log_like
         accepted[t] = was_accepted
-    if length >= 4:
-        ess = np.array([ess_batch_means(samples[:, j]) for j in range(dim)])
-    else:
-        ess = np.full(dim, float(length))
     return ChainOutput(
         samples=samples,
         log_like_trace=log_like_trace,
         accepted=accepted,
         acceptance_rate=float(accepted.mean()),
-        ess=ess,
+        ess=_ess_by_coordinate(samples),
         final_state=state,
     )
 
@@ -400,6 +396,14 @@ def tune_particle_count(
                 f"exceeds {target} and doubling would pass the ceiling {max_particles}"
             )
         n_particles *= 2
+
+
+def _ess_by_coordinate(samples: np.ndarray) -> np.ndarray:
+    """``ess_batch_means`` of each column; fewer than 4 rows give their count."""
+    length, dim = samples.shape
+    if length < 4:
+        return np.full(dim, float(length))
+    return np.array([ess_batch_means(samples[:, j]) for j in range(dim)])
 
 
 def ess_batch_means(series) -> float:

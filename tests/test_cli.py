@@ -21,6 +21,7 @@ from prodest.cli import (
     main,
     parse_config_text,
 )
+from prodest.mcmc import ess_batch_means
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -711,9 +712,12 @@ def test_successive_calls_write_what_each_writes_alone(tmp_path):
         )
         assert _outputs(together) == _outputs(alone), argv
     # A bad command line after good ones still exits 2, and a good one
-    # after it still runs.
-    for bad in (["estimate", "--estimator", "warp"], ["tune", "--replicates", "many"],
-                ["estimate", "--seed"], ["sample"]):
+    # after it still runs.  A bad flag value is a config error, checked
+    # where its key's value is; a missing value or an unknown command is
+    # argparse's to reject.
+    for bad in (["estimate", "--estimator", "warp"], ["tune", "--replicates", "many"]):
+        assert run(bad + ["--out", tmp_path / "bad"]) == 2
+    for bad in (["estimate", "--seed"], ["sample"]):
         with pytest.raises(SystemExit) as exit_info:
             run(bad)
         assert exit_info.value.code == 2
@@ -727,14 +731,59 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_mcmc_exact_flag_is_config_only(tmp_path, capsys):
+def test_mcmc_exact_flag_runs_the_exact_chain(tmp_path):
     config = write_config(
-        tmp_path, "model = two-state\nn_obs = 4\nchain_length = 50\n"
+        tmp_path, "model = two-state\nn_obs = 4\nchain_length = 50\npilot_length = 0\n"
     )
-    with pytest.raises(SystemExit):
-        run(["mcmc", "--config", config, "--estimator", "exact",
-             "--out", tmp_path / "x"])
-    assert "invalid choice" in capsys.readouterr().err
+    out = tmp_path / "x"
+    assert run(["mcmc", "--config", config, "--estimator", "exact", "--out", out]) == 0
+    summary = json.loads((out / "mcmc_summary.json").read_text())
+    assert summary["estimator"] == "exact" and summary["n_particles"] is None
+
+
+# Base configs for the flag and key parity cases: small, valid runs.
+_PARITY_BASES = {
+    "estimate": {"fixture": "d1", "n_particles": "2", "replicates": "3"},
+    "tune": {"fixture": "d1", "target": "1.2", "replicates": "50"},
+    "mcmc": {"model": "two-state", "n_obs": "4", "chain_length": "20", "pilot_length": "0"},
+}
+_PARITY_RESULTS = {"estimate": "estimates.csv", "tune": "tune.json", "mcmc": "trace.csv"}
+
+
+@pytest.mark.parametrize(
+    "command, key, value, code",
+    [
+        ("estimate", "seed", "0x10", 0),
+        ("estimate", "seed", "010", 2),
+        ("estimate", "replicates", "0x4", 0),
+        ("estimate", "replicates", "many", 2),
+        ("estimate", "estimator", "RECYCLE", 0),
+        ("mcmc", "estimator", "exact", 0),
+        ("tune", "estimator", "exact", 2),
+    ],
+)
+def test_flag_and_config_key_accept_the_same_values(tmp_path, capsys, command, key, value, code):
+    # The same value, once as a flag and once as a config key: the same
+    # exit code and error line, or the same result bytes.
+    base = _PARITY_BASES[command]
+    flag_config = write_config(
+        tmp_path, "".join(f"{k} = {v}\n" for k, v in base.items()), "flag.cfg"
+    )
+    key_config = write_config(
+        tmp_path, "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items()), "key.cfg"
+    )
+    outcomes = []
+    for config, extra, label in ((flag_config, [f"--{key}", value], "flag"),
+                                 (key_config, [], "key")):
+        out = tmp_path / label
+        exit_code = run([command, "--config", config, "--out", out, *extra])
+        err = capsys.readouterr().err
+        result = (out / _PARITY_RESULTS[command]).read_bytes() if exit_code == 0 else None
+        outcomes.append((exit_code, err, result))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+    if code:
+        assert outcomes[0][1].startswith("error: ") and outcomes[0][1].count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -761,6 +810,30 @@ def test_run_without_config_uses_defaults(tmp_path, monkeypatch):
     assert len(lines) == 2 + 3
     summary = json.loads((tmp_path / "results" / "estimate_summary.json").read_text())
     assert summary["problem"] == "gandk" and summary["n_observations"] == 20
+
+
+@pytest.mark.parametrize("chain_length, burn_in", [(200, "0.5"), (300, "0.25"), (5, "0.5")])
+def test_mcmc_ess_after_burn_in_covers_the_kept_rows(tmp_path, chain_length, burn_in):
+    # ``ess`` covers the whole main chain; ``ess_after_burn_in`` covers the
+    # rows that the posterior means and intervals use, and is their count
+    # when there are fewer than 4 of them.
+    config = write_config(
+        tmp_path,
+        f"model = two-state\nn_obs = 6\nestimator = exact\nchain_length = {chain_length}\n"
+        f"pilot_length = 0\nburn_in = {burn_in}\n",
+    )
+    out = tmp_path / "chain"
+    assert run(["mcmc", "--config", config, "--seed", 4, "--out", out]) == 0
+    summary = json.loads((out / "mcmc_summary.json").read_text())
+    weights = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=2)[:, 1]
+    kept = weights[int(chain_length * float(burn_in)):]
+    if len(kept) >= 4:
+        expected = [ess_batch_means(kept)]
+        assert summary["ess"] == [ess_batch_means(weights)]
+    else:
+        expected = [float(len(kept))]
+    assert summary["ess_after_burn_in"] == expected
+    assert summary["posterior_mean"]["weight"] == pytest.approx(kept.mean(), rel=1e-12)
 
 
 def test_mcmc_from_the_prior_with_the_exact_likelihood(tmp_path):
