@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +67,7 @@ from .oracle import (
     latent_expected_second_moment_simple,
     moment_report,
 )
-from .rng import make_stream
+from .rng import _check_u64, make_stream
 
 __all__ = ["main", "ConfigError"]
 
@@ -382,10 +381,7 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
     n_particles = settings.get_int("n_particles", int(np.asarray(data).size))
     n_replicates = settings.get_int("replicates", 1000, low=1)
     estimate_fn = log_likelihood_estimator(model, data, kind, n_particles)
-    rng = make_stream(seed, STREAM_ESTIMATE)
-    started = time.perf_counter()
-    logs = estimate_fn(theta, rng, n_replicates)
-    elapsed = time.perf_counter() - started
+    logs = estimate_fn(theta, make_stream(seed, STREAM_ESTIMATE), n_replicates)
     log_mean = log_mean_exp(logs)
     workspace.write_csv(
         "estimates.csv",
@@ -406,7 +402,6 @@ def cmd_estimate(settings: Settings, workspace: Workspace, seed: int) -> None:
             "relative_variance": (
                 relative_variance_of_logs(logs) if n_replicates >= 2 else None
             ),
-            "wall_time_s": elapsed,
         },
     )
 
@@ -460,7 +455,6 @@ def cmd_oracle(settings: Settings, workspace: Workspace, seed: int) -> None:
 def cmd_tune(settings: Settings, workspace: Workspace, seed: int) -> None:
     model, theta, data, label = _build_problem(settings, seed)
     kind = settings.get_choice("estimator", "recycle", _ESTIMATORS["tune"])
-    started = time.perf_counter()
     tuned, probes, target, n_replicates = _tune_particles(
         settings, model, data, theta, kind, seed, "replicates"
     )
@@ -474,7 +468,6 @@ def cmd_tune(settings: Settings, workspace: Workspace, seed: int) -> None:
             "replicates": n_replicates,
             "n_particles": tuned,
             "probes": probes,
-            "wall_time_s": time.perf_counter() - started,
         },
     )
 
@@ -495,7 +488,6 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             "the chain cannot start there (use init = prior)"
         )
     proposal = initial_proposal(theta, settings.get_float("rel_step", 0.05))
-    started = time.perf_counter()
 
     if kind == "exact":
         if not hasattr(model, "exact_log_likelihood"):
@@ -541,7 +533,6 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
         n_particles=n_particles,
         theta_init=theta_init, stream_id=STREAM_MAIN,
     ))
-    elapsed = time.perf_counter() - started
 
     names = list(model.param_names)
     workspace.write_csv(
@@ -575,7 +566,6 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
                 name: [float(quantiles[0, j]), float(quantiles[1, j])]
                 for j, name in enumerate(names)
             },
-            "wall_time_s": elapsed,
         },
     )
 
@@ -653,7 +643,8 @@ def _run(args) -> None:
         if override is not None:
             values[key] = override
     settings = Settings(values, args.command, base_dir)
-    seed = settings.get_int("seed", 1)
+    # Checked here, not where the first stream is made: oracle makes none.
+    seed = _check_u64("seed", settings.get_int("seed", 1))
     workspace = Workspace(Path(settings.get_str("out", "results")), seed)
     try:
         _COMMANDS[args.command](settings, workspace, seed)

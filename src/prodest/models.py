@@ -351,13 +351,8 @@ class PriorSpec:
         return len(self.marginals)
 
     def log_density(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise DimensionError(
-                f"theta has shape {theta.shape}, prior has dimension {self.dim}"
-            )
         total = 0.0
-        for marginal, x in zip(self.marginals, theta):
+        for marginal, x in zip(self.marginals, _theta_vector(theta, self.dim)):
             part = marginal.log_density(float(x))
             if part == -math.inf:
                 return -math.inf
@@ -388,10 +383,7 @@ class GandKModel:
         self.unit_noise = bool(unit_noise)
 
     def params(self, theta) -> GandKParams:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (4,):
-            raise DimensionError(f"theta must have shape (4,), got {theta.shape}")
-        return GandKParams(*map(float, theta))
+        return GandKParams(*map(float, _theta_vector(theta, self.theta_dim)))
 
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return gandk_quantile_transform(rng.standard_normal(size), self.params(theta))
@@ -469,10 +461,7 @@ class PoissonBetaModel:
         self.sigma = float(sigma)
 
     def params(self, theta) -> PoissonBetaParams:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (3,):
-            raise DimensionError(f"theta must have shape (3,), got {theta.shape}")
-        return PoissonBetaParams(*map(float, theta))
+        return PoissonBetaParams(*map(float, _theta_vector(theta, self.theta_dim)))
 
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return sample_poisson_beta(self.params(theta), rng, size=size)
@@ -513,10 +502,7 @@ class TwoStateLatentModel:
     kernel = _TWO_STATE_KERNEL
 
     def _weight(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape != (1,):
-            raise DimensionError(f"theta must have one entry, got shape {theta.shape}")
-        weight = float(theta[0])
+        weight = float(_theta_vector(theta, self.theta_dim)[0])
         if not 0.0 <= weight <= 1.0:
             raise ValueError(f"state weight must lie in [0, 1], got {weight}")
         return weight
@@ -554,6 +540,14 @@ class TwoStateLatentModel:
 
     def default_prior(self) -> PriorSpec:
         return PriorSpec((UniformPrior(0.0, 1.0),))
+
+
+def _theta_vector(theta, dim: int) -> np.ndarray:
+    """``theta`` as a float vector of shape ``(dim,)``; a scalar is a one-entry vector."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (dim,):
+        raise DimensionError(f"theta must have shape ({dim},), got {theta.shape}")
+    return theta
 
 
 def _observation_column(data) -> np.ndarray:

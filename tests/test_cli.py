@@ -147,7 +147,7 @@ def test_rerun_into_existing_outputs_matches_fresh_run(tmp_path, command):
     before = _outputs(rerun)
     for out in (rerun, fresh):
         assert run([command, "--config", config, "--seed", 1, "--out", out]) == 0
-    assert _output_text(rerun) == _output_text(fresh)
+    assert _outputs(rerun) == _outputs(fresh)
     assert _outputs(rerun) != before
     assert not list(rerun.glob(".*.tmp"))
 
@@ -158,7 +158,7 @@ def test_failed_rerun_leaves_the_old_outputs_and_no_temporary_file(tmp_path, mon
     config = write_config(tmp_path, _RERUN_CONFIGS["estimate"])
     out = tmp_path / "results"
     assert run(["estimate", "--config", config, "--seed", 2, "--out", out]) == 0
-    before = _output_text(out)
+    before = _outputs(out)
     format_cell = cli._format_cell
     calls = []
 
@@ -171,7 +171,7 @@ def test_failed_rerun_leaves_the_old_outputs_and_no_temporary_file(tmp_path, mon
     monkeypatch.setattr(cli, "_format_cell", fail_on_fifth_cell)
     with pytest.raises(ZeroDivisionError, match="mid-write"):
         run(["estimate", "--config", config, "--seed", 1, "--out", out])
-    assert _output_text(out) == before
+    assert _outputs(out) == before
 
 
 def _unwritable_out_under_a_file(tmp_path):
@@ -200,13 +200,36 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys, make_out)
     assert sorted(tmp_path.rglob("*")) == before + [Path(config)]
 
 
-def _output_text(out):
-    """Each file's text, JSON without its run time line, hidden files included."""
-    return {
-        path.name: [line for line in path.read_text().splitlines()
-                    if not line.lstrip().startswith('"wall_time_s"')]
-        for path in sorted(out.iterdir())
-    }
+def _outputs(out):
+    """Each file's bytes, hidden files included."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+# One small run of each command, with every stream it draws from in use:
+# simulated data, tuning, pilot and main chains.
+_SAME_SEED_CONFIGS = {
+    "estimate": "model = gandk\nn_obs = 5\nestimator = recycle\nn_particles = 40\n"
+                "replicates = 16\n",
+    "tune": "model = two-state\ntheta = 0.6\nn_obs = 4\ntarget = 0.5\nreplicates = 20\n"
+            "max_particles = 64\n",
+    "mcmc": "model = two-state\nn_obs = 4\nestimator = recycle\ntarget = 0.5\n"
+            "tune_replicates = 20\nmax_particles = 64\nchain_length = 40\n"
+            "pilot_length = 10\npilot_stages = 2\n",
+    "mcmc-exact": "model = two-state\ntheta = 0.6\nn_obs = 8\nestimator = exact\n"
+                  "chain_length = 200\npilot_length = 0\n",
+    "oracle": "fixture = d1\nn_particles = 4\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAME_SEED_CONFIGS))
+def test_same_seed_writes_identical_files(tmp_path, case):
+    # Every result file, JSON summaries included, is a function of the
+    # inputs and the seed alone.
+    command = case.split("-")[0]
+    config = write_config(tmp_path, _SAME_SEED_CONFIGS[case])
+    for label in ("a", "b"):
+        assert run([command, "--config", config, "--seed", 33, "--out", tmp_path / label]) == 0
+    assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
 
 
 # -------------------------------------------------------------- estimate run
@@ -228,20 +251,6 @@ def test_estimate_on_fixture(tmp_path):
     assert summary["replicates"] == 64
     assert 0.0 < summary["mean_estimate"] < 1.0
     assert summary["master_seed"] == 9
-
-
-def test_estimate_reproducible_bytes(tmp_path):
-    config = write_config(
-        tmp_path, "fixture = d1\nestimator = recycle\nn_particles = 2\n"
-    )
-    for label in ("a", "b"):
-        assert run(
-            ["estimate", "--config", config, "--seed", 33, "--out",
-             tmp_path / label, "--replicates", 32]
-        ) == 0
-    assert (tmp_path / "a" / "estimates.csv").read_bytes() == (
-        tmp_path / "b" / "estimates.csv"
-    ).read_bytes()
 
 
 def test_estimate_seed_changes_output(tmp_path):
@@ -532,19 +541,11 @@ def test_mcmc_config_errors_exit_before_tuning(tmp_path, capsys, monkeypatch, ke
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_mcmc_exact_estimator_and_determinism(tmp_path):
-    config = write_config(
-        tmp_path,
-        "model = two-state\ntheta = 0.6\nn_obs = 8\nestimator = exact\n"
-        "chain_length = 200\npilot_length = 0\n",
-    )
-    traces = []
-    for label in ("a", "b"):
-        out = tmp_path / label
-        assert run(["mcmc", "--config", config, "--seed", 11, "--out", out]) == 0
-        traces.append((out / "trace.csv").read_bytes())
-    assert traces[0] == traces[1]
-    summary = json.loads((tmp_path / "a" / "mcmc_summary.json").read_text())
+def test_mcmc_exact_estimator_without_pilot(tmp_path):
+    config = write_config(tmp_path, _SAME_SEED_CONFIGS["mcmc-exact"])
+    out = tmp_path / "chain"
+    assert run(["mcmc", "--config", config, "--seed", 11, "--out", out]) == 0
+    summary = json.loads((out / "mcmc_summary.json").read_text())
     assert summary["n_particles"] is None
     assert summary["pilot"] is None
 
@@ -659,19 +660,6 @@ def test_estimate_gandk_theta_past_the_double_range_exits_2(
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "g-and-k parameters" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
-
-
-def _outputs(out):
-    """Each output file's bytes; JSON files without their run time."""
-    files = {}
-    for path in sorted(out.iterdir()):
-        if path.suffix == ".json":
-            record = json.loads(path.read_text())
-            record.pop("wall_time_s", None)
-            files[path.name] = record
-        else:
-            files[path.name] = path.read_bytes()
-    return files
 
 
 def test_successive_calls_write_what_each_writes_alone(tmp_path):
@@ -799,6 +787,16 @@ def test_flags_of_keys_a_command_rejects_are_not_offered(argv, tmp_path, capsys)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", sorted(_ALLOWED_KEYS))
+def test_seed_outside_uint64_exits_2_for_every_command(tmp_path, capsys, command, seed):
+    # Checked before the command runs: oracle makes no stream that would check it.
+    out = tmp_path / "x"
+    assert run([command, f"--seed={seed}", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: seed must fit in a uint64, got {seed}\n"
+    assert not out.exists()
 
 
 def test_run_without_config_uses_defaults(tmp_path, monkeypatch):

@@ -316,6 +316,31 @@ def test_prior_spec_composition():
     assert sample.shape == (2,)
 
 
+# Each takes a theta of shape (dim,); a two-state theta may also be a scalar.
+_THETA_TAKERS = {
+    "gandk-params": lambda theta: GandKModel().params(theta),
+    "poisson-beta-params": lambda theta: PoissonBetaModel().params(theta),
+    "two-state-weight": lambda theta: TwoStateLatentModel().sample_latent(
+        theta, make_stream(0), 3
+    ),
+    "prior-log-density": lambda theta: GandKModel().default_prior().log_density(theta),
+}
+
+
+@pytest.mark.parametrize("shape", [(0,), (5,), (1, 1), (2, 2)], ids=str)
+@pytest.mark.parametrize("taker", sorted(_THETA_TAKERS))
+def test_theta_of_the_wrong_shape_is_rejected(taker, shape):
+    with pytest.raises(DimensionError, match=r"theta must have shape \(\d,\), got "):
+        _THETA_TAKERS[taker](np.full(shape, 0.5))
+
+
+def test_two_state_takes_a_scalar_theta():
+    draws = TwoStateLatentModel().sample_latent(0.5, make_stream(0), 8)
+    assert np.array_equal(
+        draws, TwoStateLatentModel().sample_latent(np.array([0.5]), make_stream(0), 8)
+    )
+
+
 # ----------------------------------------------------------------- two-state
 
 
