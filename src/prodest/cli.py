@@ -46,9 +46,11 @@ from .estimators import DimensionError, EnumerationLimitError, simple_block_size
 from .fixtures import DiscreteFixtureModel, get_fixture
 from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
+    BURN_IN,
     ChainConfig,
     ParticleCountError,
     _ess_by_coordinate,
+    check_pilot_length,
     initial_proposal,
     relative_variance_of_logs,
     run_chain,
@@ -92,8 +94,7 @@ _ALLOWED_KEYS = {
     "tune": _BASE_KEYS | _PROBLEM_KEYS | {"estimator", "target", "replicates", "max_particles"},
     "mcmc": (_BASE_KEYS | _PROBLEM_KEYS | {
         "estimator", "n_particles", "chain_length", "pilot_length",
-        "pilot_stages", "burn_in", "target", "tune_replicates",
-        "max_particles", "proposal_scale", "rel_step", "init",
+        "pilot_stages", "target", "tune_replicates", "max_particles",
     }) - {"fixture"},
 }
 
@@ -166,12 +167,6 @@ class Settings:
 
     def get_float(self, key: str, default=None):
         return self._converted(key, default, float, "a number")
-
-    def get_fraction(self, key: str, default: float) -> float:
-        value = self.get_float(key, default)
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(f"{key} must lie in [0, 1), got {value}")
-        return value
 
     def get_choice(self, key: str, default: str, choices) -> str:
         """One of ``choices``, given in any case."""
@@ -478,16 +473,15 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     chain_length = settings.get_int("chain_length", 2000, low=1)
     pilot_length = settings.get_int("pilot_length", max(chain_length // 10, 200), low=0)
     pilot_stages = settings.get_int("pilot_stages", 1, low=1)
-    burn_in = settings.get_fraction("burn_in", 0.5)
-    proposal_scale = settings.get_choice("proposal_scale", "literal", ("literal", "squared"))
-    init = settings.get_choice("init", "theta", ("theta", "prior"))
     prior = model.default_prior()
-    if init == "theta" and prior.log_density(theta) == -math.inf:
+    if pilot_length > 0:
+        check_pilot_length(pilot_length, prior.dim)
+    if prior.log_density(theta) == -math.inf:
         raise ConfigError(
-            f"theta {settings.get_str('theta')!r} lies outside the prior's support; "
-            "the chain cannot start there (use init = prior)"
+            f"theta {settings.get_str('theta')!r} lies outside the prior's support, "
+            "where the chain cannot start"
         )
-    proposal = initial_proposal(theta, settings.get_float("rel_step", 0.05))
+    proposal = initial_proposal(theta)
 
     if kind == "exact":
         if not hasattr(model, "exact_log_likelihood"):
@@ -503,7 +497,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
                 settings, model, data, theta, kind, seed, "tune_replicates"
             )
 
-    theta_init = theta if init == "theta" else None
+    start = theta
     pilot_summary = None
     if pilot_length > 0:
         # Each stage refines the empirical covariance of the previous one;
@@ -515,12 +509,10 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
                 model=model, data=data, prior=prior, proposal=proposal,
                 length=pilot_length, seed=seed, estimator=estimator,
                 n_particles=n_particles,
-                theta_init=theta_init, stream_id=STREAM_PILOT + 100 * stage,
+                theta_init=start, stream_id=STREAM_PILOT + 100 * stage,
             ))
-            proposal = tune_proposal(
-                pilot, burn_in, literal_scaling=(proposal_scale == "literal")
-            )
-            theta_init = pilot.final_state.theta
+            proposal = tune_proposal(pilot.samples)
+            start = pilot.final_state.theta
             pilot_summary.append({
                 "stage": stage,
                 "length": pilot_length,
@@ -531,7 +523,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
         model=model, data=data, prior=prior, proposal=proposal,
         length=chain_length, seed=seed, estimator=estimator,
         n_particles=n_particles,
-        theta_init=theta_init, stream_id=STREAM_MAIN,
+        theta_init=start, stream_id=STREAM_MAIN,
     ))
 
     names = list(model.param_names)
@@ -543,7 +535,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             for t in range(chain_length)
         ),
     )
-    kept = output.samples[int(chain_length * burn_in):]
+    kept = output.samples[int(chain_length * BURN_IN):]
     quantiles = np.percentile(kept, [2.5, 97.5], axis=0)
     workspace.write_json(
         "mcmc_summary.json",
@@ -554,7 +546,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             "n_particles": n_particles,
             "tuning_probes": probes,
             "chain_length": chain_length,
-            "burn_in": burn_in,
+            "burn_in": BURN_IN,
             "pilot": pilot_summary,
             "acceptance_rate": output.acceptance_rate,
             "ess": output.ess,

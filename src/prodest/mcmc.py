@@ -9,10 +9,9 @@ estimate of exactly zero; a deterministic function recovers ordinary
 random-walk Metropolis.
 
 Tuning follows standard practice: a pilot chain feeds an empirical
-covariance scaled by 2.38 / sqrt(dim) (the squared variant is available
-as an option), and the particle count is doubled from one particle per
-observation until the estimator's relative variance at a reference
-parameter drops to a target of about 2.
+covariance scaled by 2.38 / sqrt(dim), and the particle count is doubled
+from one particle per observation until the estimator's relative
+variance at a reference parameter drops to a target of about 2.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .models import PriorSpec, log_likelihood_estimator
 from .rng import make_stream
 
 __all__ = [
+    "BURN_IN",
     "ChainState",
     "ProposalSpec",
     "ChainConfig",
@@ -39,6 +39,7 @@ __all__ = [
     "pseudo_marginal_step",
     "run_chain",
     "initial_proposal",
+    "check_pilot_length",
     "tune_proposal",
     "relative_variance_of_logs",
     "tune_particle_count",
@@ -51,6 +52,14 @@ _JITTER_SCALE = 1e-8
 
 # Likelihood estimates tried before ``run_chain`` gives up on a zero start.
 _MAX_INIT_TRIES = 100
+
+# Pilot proposal standard deviation per unit of (1 + |theta_i|).
+_PILOT_STEP = 0.05
+
+# Leading fraction of a chain's samples dropped before they are used: a
+# pilot's before its covariance is taken, the main chain's before it is
+# summarized.
+BURN_IN = 0.5
 
 
 class EstimatorFailure(RuntimeError):
@@ -150,7 +159,8 @@ class ChainConfig:
     ``estimator`` is an estimator kind name (resolved through the model
     bridge with ``n_particles`` fresh latents per evaluation) or a
     callable ``(theta, rng) -> float`` returning a log likelihood
-    estimate directly.
+    estimate directly.  The chain starts at ``theta_init``, which must
+    have positive prior density.
     """
 
     model: object
@@ -159,9 +169,9 @@ class ChainConfig:
     proposal: ProposalSpec
     length: int
     seed: int
+    theta_init: np.ndarray
     estimator: str | Callable = "recycle"
     n_particles: int | None = None
-    theta_init: np.ndarray | None = None
     stream_id: int = 0
 
     def __post_init__(self):
@@ -241,18 +251,11 @@ def _resolve_estimator(config: ChainConfig) -> Callable:
 def _initial_state(
     config: ChainConfig, log_like_fn: Callable, rng: np.random.Generator
 ) -> ChainState:
-    supplied = config.theta_init is not None
-    if supplied:
-        theta = np.asarray(config.theta_init, dtype=float)
-        log_prior_value = config.prior.log_density(theta)
-        if log_prior_value == -math.inf:
-            raise InitializationError(
-                f"the supplied initial theta {theta!r} has zero prior density"
-            )
+    theta = np.asarray(config.theta_init, dtype=float)
+    log_prior_value = config.prior.log_density(theta)
+    if log_prior_value == -math.inf:
+        raise InitializationError(f"the initial theta {theta!r} has zero prior density")
     for _ in range(_MAX_INIT_TRIES):
-        if not supplied:
-            theta = config.prior.sample(rng)
-            log_prior_value = config.prior.log_density(theta)
         log_like_value = float(log_like_fn(theta, rng))
         if math.isnan(log_like_value):
             raise EstimatorFailure(f"likelihood estimate is NaN at theta={theta!r}")
@@ -295,43 +298,39 @@ def run_chain(config: ChainConfig) -> ChainOutput:
     )
 
 
-def initial_proposal(theta, rel_step: float = 0.05) -> ProposalSpec:
-    """Diagonal pilot proposal scaled to the magnitude of each coordinate."""
-    if not 0.0 < rel_step < math.inf:
-        raise ValueError(f"rel_step must be finite and positive, got {rel_step}")
+def initial_proposal(theta) -> ProposalSpec:
+    """Diagonal pilot proposal with standard deviations 0.05 * (1 + |theta_i|)."""
     theta = np.asarray(theta, dtype=float)
-    scales = rel_step * (1.0 + np.abs(theta))
+    scales = _PILOT_STEP * (1.0 + np.abs(theta))
     # A variance that overflows to inf is rejected by from_covariance.
     with np.errstate(over="ignore"):
         variances = scales**2
     return ProposalSpec.from_covariance(np.diag(variances))
 
 
-def tune_proposal(
-    pilot,
-    burn_in: float = 0.5,
-    literal_scaling: bool = True,
-) -> ProposalSpec:
-    """Empirical-covariance proposal from pilot samples.
-
-    ``pilot`` is a ChainOutput or a plain (length, dim) sample array; the
-    first ``burn_in`` fraction is dropped.  The covariance is scaled by
-    2.38 / sqrt(dim), or by the more common 2.38**2 / dim when
-    ``literal_scaling`` is off.  Degenerate pilots fall through to the
-    recorded jitter path rather than failing.
-    """
-    samples = np.atleast_2d(np.asarray(getattr(pilot, "samples", pilot), dtype=float))
-    if not 0.0 <= float(burn_in) < 1.0:
-        raise ValueError(f"burn_in fraction must lie in [0, 1), got {burn_in}")
-    kept = samples[int(len(samples) * burn_in):]
-    length, dim = kept.shape
-    if length < dim + 1:
+def check_pilot_length(length: int, dim: int) -> None:
+    """Raise ``ValueError`` unless a pilot of ``length`` steps keeps dim + 1 after burn-in."""
+    kept = length - int(length * BURN_IN)
+    if kept < dim + 1:
         raise ValueError(
-            f"need at least dim + 1 = {dim + 1} post-burn-in pilot samples, got {length}"
+            f"a pilot of {length} steps keeps {kept} after the burn-in of {BURN_IN}; "
+            f"tuning a {dim}-dimensional proposal needs at least {dim + 1}"
         )
+
+
+def tune_proposal(samples) -> ProposalSpec:
+    """Empirical-covariance proposal from a (length, dim) pilot sample array.
+
+    The first ``BURN_IN`` fraction is dropped and the covariance of the
+    rest is scaled by 2.38 / sqrt(dim).  Degenerate pilots fall through
+    to the recorded jitter path rather than failing.
+    """
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    length, dim = samples.shape
+    check_pilot_length(length, dim)
+    kept = samples[int(length * BURN_IN):]
     sample_cov = np.atleast_2d(np.cov(kept, rowvar=False))
-    factor = 2.38 / math.sqrt(dim) if literal_scaling else 2.38**2 / dim
-    return ProposalSpec.from_covariance(factor * sample_cov)
+    return ProposalSpec.from_covariance(2.38 / math.sqrt(dim) * sample_cov)
 
 
 def relative_variance_of_logs(log_estimates) -> float:

@@ -311,9 +311,6 @@ class UniformPrior:
             return -math.log(self.high - self.low)
         return -math.inf
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
 
 @dataclass(frozen=True)
 class ExponentialPrior:
@@ -329,9 +326,6 @@ class ExponentialPrior:
         if x <= 0:
             return -math.inf
         return -x / self.mean - math.log(self.mean)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean))
 
 
 @dataclass(frozen=True)
@@ -358,9 +352,6 @@ class PriorSpec:
                 return -math.inf
             total += part
         return total
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([marginal.sample(rng) for marginal in self.marginals])
 
 
 class GandKModel:

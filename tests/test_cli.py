@@ -489,25 +489,25 @@ def test_mcmc_staged_pilots(tmp_path):
 @pytest.mark.parametrize(
     "key, message",
     [
-        ("rel_step = nan", "rel_step must be finite and positive"),
-        ("rel_step = inf", "rel_step must be finite and positive"),
-        ("rel_step = -1", "rel_step must be finite and positive"),
-        ("rel_step = 0", "rel_step must be finite and positive"),
         ("pilot_length = -1", "pilot_length must be >= 0"),
         ("chain_length = 0", "chain_length must be >= 1"),
-        ("burn_in = 1", "burn_in must lie in [0, 1)"),
-        ("burn_in = -0.5", "burn_in must lie in [0, 1)"),
-        ("burn_in = nan", "burn_in must lie in [0, 1)"),
-        ("rel_step = 1e300", "covariance must be finite"),
+        # The pilot step's variance, (0.05 * (1 + 1e200))**2, overflows.
+        ("model = poisson-beta\ntheta = 1e200, 2, 8\ndata = obs.dat", "covariance must be finite"),
+        # The chain's start, pilot step, tuned scaling and burn-in are
+        # fixed; their old keys are refused even at the values they had.
+        ("proposal_scale = literal", "unknown config keys for 'mcmc': proposal_scale"),
+        ("rel_step = 0.05", "unknown config keys for 'mcmc': rel_step"),
+        ("init = theta", "unknown config keys for 'mcmc': init"),
+        ("burn_in = 0.5", "unknown config keys for 'mcmc': burn_in"),
     ],
 )
 def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
-    lines = {"n_particles": "20", "chain_length": "100"}
-    lines.update([key.split(" = ")])
+    (tmp_path / "obs.dat").write_text("3\n12\n")
+    lines = {"model": "two-state", "theta": "0.7", "estimator": "recycle",
+             "n_particles": "20", "chain_length": "100"}
+    lines.update(line.split(" = ") for line in key.split("\n"))
     config = write_config(
-        tmp_path,
-        "model = two-state\ntheta = 0.7\nn_obs = 10\nestimator = recycle\n"
-        + "".join(f"{name} = {value}\n" for name, value in lines.items()),
+        tmp_path, "".join(f"{name} = {value}\n" for name, value in lines.items())
     )
     out = tmp_path / "results"
     assert run(["mcmc", "--config", config, "--seed", 5, "--out", out]) == 2
@@ -519,7 +519,9 @@ def test_mcmc_config_errors_exit_2(tmp_path, capsys, key, message):
     "key, message",
     [
         ("chain_length = 0", "chain_length must be >= 1"),
-        ("burn_in = 1\npilot_length = 0", "burn_in must lie in [0, 1)"),
+        # A g-and-k pilot of 8 steps keeps 4 after the burn-in; its 4 x 4
+        # covariance needs 5.
+        ("model = gandk\ntheta = 3, 1, 2, 0.5\nn_obs = 5\npilot_length = 8", "keeps 4 after the burn-in"),
         ("model = gandk\ntheta = 3, 1, 2, 11\nn_obs = 5", "outside the prior's support"),
         ("model = poisson-beta\ntheta = 500, 2, 8\nsigma = 1e200", "sigma must be finite"),
         ("model = poisson-beta\ntheta = 1e300, 2, 8", "rate must be at most"),
@@ -550,14 +552,13 @@ def test_mcmc_exact_estimator_without_pilot(tmp_path):
     assert summary["pilot"] is None
 
 
-@pytest.mark.parametrize("init", ["theta", "prior"])
-def test_mcmc_fixture_exits_2(tmp_path, capsys, monkeypatch, init):
+def test_mcmc_fixture_exits_2(tmp_path, capsys, monkeypatch):
     # A fixture has no parameter to sample.
     def fail(*args, **kwargs):
         pytest.fail("particle tuning ran before the configuration was checked")
 
     monkeypatch.setattr("prodest.cli.tune_particle_count", fail)
-    config = write_config(tmp_path, f"fixture = d1\ninit = {init}\n")
+    config = write_config(tmp_path, "fixture = d1\n")
     out = tmp_path / "results"
     assert run(["mcmc", "--config", config, "--out", out]) == 2
     assert "unknown config keys for 'mcmc': fixture" in capsys.readouterr().err
@@ -810,21 +811,23 @@ def test_run_without_config_uses_defaults(tmp_path, monkeypatch):
     assert summary["problem"] == "gandk" and summary["n_observations"] == 20
 
 
-@pytest.mark.parametrize("chain_length, burn_in", [(200, "0.5"), (300, "0.25"), (5, "0.5")])
-def test_mcmc_ess_after_burn_in_covers_the_kept_rows(tmp_path, chain_length, burn_in):
+@pytest.mark.parametrize("chain_length", [200, 301, 5])
+def test_mcmc_ess_after_burn_in_covers_the_kept_rows(tmp_path, chain_length):
     # ``ess`` covers the whole main chain; ``ess_after_burn_in`` covers the
-    # rows that the posterior means and intervals use, and is their count
-    # when there are fewer than 4 of them.
+    # rows after the first floor(chain_length / 2), which the posterior
+    # means and intervals use, and is their count when there are fewer
+    # than 4 of them.
     config = write_config(
         tmp_path,
         f"model = two-state\nn_obs = 6\nestimator = exact\nchain_length = {chain_length}\n"
-        f"pilot_length = 0\nburn_in = {burn_in}\n",
+        "pilot_length = 0\n",
     )
     out = tmp_path / "chain"
     assert run(["mcmc", "--config", config, "--seed", 4, "--out", out]) == 0
     summary = json.loads((out / "mcmc_summary.json").read_text())
+    assert summary["burn_in"] == 0.5
     weights = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=2)[:, 1]
-    kept = weights[int(chain_length * float(burn_in)):]
+    kept = weights[chain_length // 2:]
     if len(kept) >= 4:
         expected = [ess_batch_means(kept)]
         assert summary["ess"] == [ess_batch_means(weights)]
@@ -832,17 +835,6 @@ def test_mcmc_ess_after_burn_in_covers_the_kept_rows(tmp_path, chain_length, bur
         expected = [float(len(kept))]
     assert summary["ess_after_burn_in"] == expected
     assert summary["posterior_mean"]["weight"] == pytest.approx(kept.mean(), rel=1e-12)
-
-
-def test_mcmc_from_the_prior_with_the_exact_likelihood(tmp_path):
-    config = write_config(
-        tmp_path,
-        "model = two-state\nestimator = exact\ninit = prior\n"
-        "chain_length = 20\npilot_length = 0\n",
-    )
-    out = tmp_path / "chain"
-    assert run(["mcmc", "--config", config, "--seed", 3, "--out", out]) == 0
-    assert len((out / "trace.csv").read_text().splitlines()) == 2 + 20
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -880,11 +872,7 @@ _VALID = {
     # Long enough for a g-and-k pilot covariance after the burn-in.
     "pilot_length": st.sampled_from(["0", "10", "12"]),
     "pilot_stages": _counts(3),
-    "burn_in": _floats(0.0, 0.5),
     "tune_replicates": st.integers(2, 5).map(str),
-    "proposal_scale": st.sampled_from(["literal", "squared"]),
-    "rel_step": _floats(0.001, 1.0),
-    "init": st.sampled_from(["theta", "prior"]),
 }
 
 _THETA = {
@@ -900,8 +888,6 @@ _ODD_WORDS = {
     "data": ["missing.dat", "odd.dat"],
     "estimator": ["warp"],
     "unit_noise": ["maybe"],
-    "proposal_scale": ["cubed"],
-    "init": ["origin"],
     "seed": [str(2**64), "0x10"],
     "theta": ["1, 2", "3, 1, 2, 0.5, 9", "1e300, 1, 1, 1"],
 }
@@ -1007,8 +993,7 @@ def _run_config(command, values, files=None):
 # files; the tests above check that each exits 2.
 _CONFIG_ERRORS = [
     ("oracle", {"fixture": "d4", "n_obs": "0"}, None),
-    ("mcmc", {"fixture": "d1", "init": "theta"}, None),
-    ("mcmc", {"fixture": "d1", "init": "prior"}, None),
+    ("mcmc", {"fixture": "d1"}, None),
     (
         "mcmc",
         {"model": "gandk", "theta": "3, 1, 2, 11", "n_obs": "3", "chain_length": "5",
@@ -1027,9 +1012,9 @@ _CONFIG_ERRORS = [
     ("estimate", {"model": "gandk", "theta": "3, 1, 2, 1e300", "n_obs": "3", "replicates": "5"}, None),
     (
         "mcmc",
-        {"model": "two-state", "n_obs": "3", "n_particles": "8", "chain_length": "5",
-         "pilot_length": "0", "rel_step": "1e300"},
-        None,
+        {"model": "poisson-beta", "theta": "1e200, 2, 8", "data": "obs.dat", "n_particles": "8",
+         "chain_length": "5", "pilot_length": "0"},
+        {"obs.dat": ["3", "12"]},
     ),
     (
         "estimate",

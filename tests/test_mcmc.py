@@ -12,6 +12,7 @@ from prodest.mcmc import (
     ParticleCountError,
     ProposalSpec,
     acceptance_probability,
+    check_pilot_length,
     ess_batch_means,
     initial_proposal,
     pseudo_marginal_step,
@@ -167,20 +168,16 @@ def test_initial_proposal_scales_with_theta():
 
 def test_tune_proposal_scaling():
     rng = make_stream(5)
-    pilot = rng.normal(size=(4000, 1)) * 2.0
-    spec = tune_proposal(pilot, burn_in=0.0)
-    sample_var = pilot.var(ddof=1)
+    pilot = rng.normal(size=(8000, 1)) * 2.0
+    spec = tune_proposal(pilot)
+    sample_var = pilot[4000:].var(ddof=1)
     assert spec.covariance[0, 0] == pytest.approx(2.38 * sample_var, rel=1e-12)
-    squared = tune_proposal(pilot, burn_in=0.0, literal_scaling=False)
-    assert squared.covariance[0, 0] == pytest.approx(
-        2.38**2 * sample_var, rel=1e-12
-    )
 
 
 def test_tune_proposal_dimension_scaling():
     rng = make_stream(6)
     pilot = rng.normal(size=(6000, 4))
-    spec = tune_proposal(pilot, burn_in=0.5)
+    spec = tune_proposal(pilot)
     kept = pilot[3000:]
     expected = (2.38 / 2.0) * np.cov(kept.T)
     assert spec.covariance == pytest.approx(expected, rel=1e-10)
@@ -192,6 +189,14 @@ def test_tune_proposal_burn_in_and_degenerate_pilot():
     assert spec.jitter > 0.0
     with pytest.raises(ValueError):
         tune_proposal(np.ones((3, 4)))
+    # 9 rows keep 5 after the burn-in, enough for a 4 x 4 covariance; 8 keep 4.
+    pilot = make_stream(7).normal(size=(9, 4))
+    assert tune_proposal(pilot).jitter == 0.0
+    with pytest.raises(ValueError, match="keeps 4 after the burn-in"):
+        tune_proposal(pilot[:8])
+    with pytest.raises(ValueError, match="keeps 4 after the burn-in"):
+        check_pilot_length(8, 4)
+    check_pilot_length(9, 4)
 
 
 # -------------------------------------------------------------------- chains
@@ -246,20 +251,17 @@ def test_run_chain_init_retries_then_fails():
     assert estimator.calls == _MAX_INIT_TRIES
 
 
-def test_run_chain_init_from_prior_draws_until_nonzero():
-    # With no theta_init each attempt draws a fresh theta from the prior,
-    # and the first one with a nonzero estimate starts the chain.
+def test_run_chain_init_retries_at_theta_init_until_nonzero():
+    # Each attempt estimates afresh at theta_init, and the first nonzero
+    # estimate starts the chain.
     seen = []
 
     def estimator(theta, rng):
         seen.append(float(theta[0]))
         return -math.inf if len(seen) < 3 else 0.0
 
-    config = flat_chain_config(5, seed=12, estimator=estimator, theta_init=None)
-    output = run_chain(config)
-    replay = make_stream(12, 0)
-    assert seen[:3] == [config.prior.sample(replay)[0] for _ in range(3)]
-    assert len(set(seen[:3])) == 3
+    output = run_chain(flat_chain_config(5, seed=12, estimator=estimator))
+    assert seen[:3] == [0.5, 0.5, 0.5]
     assert output.samples.shape == (5, 1)
 
 

@@ -288,8 +288,6 @@ def test_uniform_prior():
     assert prior.log_density(5.0) == pytest.approx(math.log(0.1))
     assert prior.log_density(0.0) == -math.inf
     assert prior.log_density(10.0) == -math.inf
-    draws = np.array([prior.sample(make_stream(15, i)) for i in range(200)])
-    assert ((draws > 0.0) & (draws < 10.0)).all()
 
 
 def test_exponential_prior():
@@ -297,11 +295,6 @@ def test_exponential_prior():
     assert prior.log_density(3.0) == pytest.approx(-0.3 - math.log(10.0))
     assert prior.log_density(0.0) == -math.inf
     assert prior.log_density(-1.0) == -math.inf
-    stream = make_stream(16)
-    draws = np.array([prior.sample(stream) for _ in range(4000)])
-    assert (draws > 0).all()
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert abs(draws.mean() - 10.0) < 3 * se
 
 
 def test_prior_spec_composition():
@@ -312,8 +305,6 @@ def test_prior_spec_composition():
         math.log(1.0) + (-1.0 - math.log(2.0))
     )
     assert prior.log_density(np.array([2.0, 1.0])) == -math.inf
-    sample = prior.sample(make_stream(17))
-    assert sample.shape == (2,)
 
 
 # Each takes a theta of shape (dim,); a two-state theta may also be a scalar.

@@ -16,15 +16,22 @@ default that no caller overrides is a constant, and belongs in the code.
 
 ``oracle`` is exempt from both checks: its functions are the reference
 implementations the tests compare against.
+
+The same rule holds for the command line: a config key that only tests
+set is a constant.  Every key some command accepts must be set in
+``scripts/`` or ``bench/``: on a ``key = value`` line of a config text,
+as a ``"key":`` dict key, or as a ``--key`` flag.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import prodest
+from prodest.cli import _ALLOWED_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"oracle"}
@@ -33,6 +40,13 @@ EXEMPT = {"oracle"}
 UNSET_ALLOWED = {
     "cli.main(argv)": "the entry point; the console script calls it with none",
     "estimators.estimate_perm_exact(max_terms)": "a safety cap on the dynamic program",
+}
+
+# Config keys that no script or benchmark sets, and why.
+KEYS_UNSET_ALLOWED = {
+    "fixture": "the finite test problems of the oracle; the scripts run the paper's models",
+    "max_particles": "a work cap on particle tuning, like max_terms",
+    "unit_noise": "picks the g-and-k data law under which the ABC target is the likelihood",
 }
 
 
@@ -151,4 +165,32 @@ def test_every_optional_parameter_is_passed_outside_tests():
         f"optional parameters no caller in src/ or scripts/ sets: "
         f"{sorted(set(unset) - set(UNSET_ALLOWED))}; "
         f"allowlisted but now set: {sorted(set(UNSET_ALLOWED) - set(unset))}"
+    )
+
+
+def _config_keys_set():
+    """Keys set in scripts/ and bench/ by a config line, a dict key or a flag."""
+    keys = set()
+    for directory in ("scripts", "bench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Dict):
+                    keys.update(
+                        key.value for key in node.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    keys.update(re.findall(r"^\s*(\w+)\s*=", node.value, re.MULTILINE))
+                    keys.update(
+                        flag.replace("-", "_") for flag in re.findall(r"--([\w-]+)", node.value)
+                    )
+    return keys
+
+
+def test_every_config_key_is_set_outside_tests():
+    accepted = set().union(*_ALLOWED_KEYS.values())
+    unset = accepted - _config_keys_set()
+    assert unset == set(KEYS_UNSET_ALLOWED), (
+        f"config keys no script or benchmark sets: {sorted(unset - set(KEYS_UNSET_ALLOWED))}; "
+        f"allowlisted but now set: {sorted(set(KEYS_UNSET_ALLOWED) - unset)}"
     )

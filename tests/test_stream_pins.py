@@ -55,8 +55,12 @@ and number format included, so a version bump re-records it.  At 640
 particles every ``simple`` estimate of these seeds has an empty block and
 is zero, so its pins check the zero path and the writer.
 
+``MCMC_PINS`` holds the sha256 of ``trace.csv`` and ``mcmc_summary.json``
+from two small ``prodest mcmc`` runs, so the chain's start, pilot step,
+tuned proposal and burn-in window are pinned with its streams.
+
 Running this file prints the current streams as ``PINS``,
-``BATCHED_PINS`` and ``CLI_PINS`` literals.
+``BATCHED_PINS``, ``CLI_PINS`` and ``MCMC_PINS`` literals.
 """
 
 import hashlib
@@ -276,6 +280,32 @@ CLI_PINS = {
     ('simple', 8): '037fee852c4be8109d934654adbda5b0a09fc3c719c637d5c9717d07badd8c99',
 }
 
+# Small ``prodest mcmc`` runs with seed 7: the two-state chain tunes its
+# particle count and refines its proposal over two pilot stages, and the
+# g-and-k chain tunes at five observations and runs one pilot.
+MCMC_CONFIGS = {
+    "two-state": (
+        "model = two-state\nestimator = recycle\ntarget = 0.3\ntune_replicates = 50\n"
+        "chain_length = 200\npilot_length = 100\npilot_stages = 2\n"
+    ),
+    "g-and-k": (
+        "model = gandk\nn_obs = 5\nestimator = recycle\ntune_replicates = 50\n"
+        "chain_length = 200\npilot_length = 100\n"
+    ),
+}
+
+# problem -> (sha256 of ``trace.csv``, sha256 of ``mcmc_summary.json``).
+MCMC_PINS = {
+    'two-state': (
+        'b62fb590a8fc931007d8446f0aa1b80ac671d48b7bfc0f37a96416c91a00cbd1',
+        '401b7d5a3bcd80bb0886a3650fe94d1a1da53a827ce2d33e6612aa6e2273d844',
+    ),
+    'g-and-k': (
+        'a1f306c56cb83c3b671c8414af4be8a5de02a761e3bae43efb1c1482dee33c46',
+        'dac836582ca82a710daf7414ff5abd6ac2099c81cc588dcb0f2315914b50ec1e',
+    ),
+}
+
 
 def _stream(case, size=None):
     """The case's 20 log values and the generator's position after them.
@@ -338,6 +368,23 @@ def test_cli_estimates_file_pin(case, tmp_path):
     assert _cli_digest(*case, tmp_path) == CLI_PINS[case]
 
 
+def _mcmc_digests(problem, work_dir):
+    """sha256 of ``trace.csv`` and ``mcmc_summary.json`` from the problem's mcmc run."""
+    config = work_dir / f"{problem}.cfg"
+    config.write_text(MCMC_CONFIGS[problem])
+    out = work_dir / f"mcmc-{problem}"
+    assert main(["mcmc", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("trace.csv", "mcmc_summary.json")
+    )
+
+
+@pytest.mark.parametrize("problem", sorted(MCMC_CONFIGS))
+def test_mcmc_files_pin(problem, tmp_path):
+    assert _mcmc_digests(problem, tmp_path) == MCMC_PINS[problem]
+
+
 def test_perm_pin_agrees_with_enumeration():
     # The two computations round differently, by a few ulps of the log value.
     pinned = PINS[("two-state", "perm")][0]
@@ -366,4 +413,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work_dir:
         for case in CLI_CASES:
             print(f"    {case!r}: {_cli_digest(*case, Path(work_dir))!r},")
+    print("}")
+    print("MCMC_PINS = {")
+    with tempfile.TemporaryDirectory() as work_dir:
+        for problem in MCMC_CONFIGS:
+            print(f"    {problem!r}: (")
+            for digest in _mcmc_digests(problem, Path(work_dir)):
+                print(f"        {digest!r},")
+            print("    ),")
     print("}")
