@@ -80,14 +80,16 @@ STREAM_PILOT = 3
 STREAM_MAIN = 4
 STREAM_DATA = 11
 
-_MODEL_DEFAULTS = {
-    "gandk": ((3.0, 1.0, 2.0, 0.5), 20),
-    "poisson-beta": ((500.0, 2.0, 8.0), 50),
-    "two-state": ((0.5,), 10),
+# Per model: the default theta and n_obs, and the keys of its observation law.
+_MODELS = {
+    "gandk": ((3.0, 1.0, 2.0, 0.5), 20, {"epsilon", "unit_noise"}),
+    "poisson-beta": ((500.0, 2.0, 8.0), 50, {"sigma"}),
+    "two-state": ((0.5,), 10, set()),
 }
+_LAW_KEYS = set().union(*(law_keys for _, _, law_keys in _MODELS.values()))
 
 _BASE_KEYS = {"seed", "out"}
-_PROBLEM_KEYS = {"model", "fixture", "theta", "n_obs", "data", "epsilon", "sigma", "unit_noise"}
+_PROBLEM_KEYS = {"model", "fixture", "theta", "n_obs", "data"} | _LAW_KEYS
 _ALLOWED_KEYS = {
     "estimate": _BASE_KEYS | _PROBLEM_KEYS | {"estimator", "n_particles", "replicates"},
     "oracle": _BASE_KEYS | {"fixture", "n_particles", "n_obs"},
@@ -314,8 +316,20 @@ def _jsonable(value):
     return value
 
 
+def _reject_keys(settings: Settings, keys, problem: str) -> None:
+    """Exit 2 if any of ``keys``, which ``problem`` does not take, is set."""
+    given = sorted(key for key in keys if settings.has(key))
+    if given:
+        raise ConfigError(f"{problem} takes no {', '.join(given)}")
+
+
 def _build_problem(settings: Settings, seed: int):
-    """Resolve (model, theta, data, label) from the model/fixture keys."""
+    """Resolve (model, theta, data, label) from the model/fixture keys.
+
+    A problem key that the chosen problem does not take is a
+    ``ConfigError``: a fixture takes none, a model only the keys of its
+    own observation law, and ``data`` and ``n_obs`` exclude each other.
+    """
     fixture_name = settings.get_str("fixture")
     if fixture_name:
         if settings.has("model"):
@@ -325,12 +339,14 @@ def _build_problem(settings: Settings, seed: int):
             raise ConfigError(
                 f"fixture {fixture.name!r} is a latent model; use the oracle command"
             )
+        _reject_keys(settings, _PROBLEM_KEYS - {"fixture"}, f"fixture {fixture.name!r}")
         model = DiscreteFixtureModel(*fixture.build())
-        if settings.has("theta") or settings.has("n_obs") or settings.has("data"):
-            raise ConfigError("fixtures have no theta, n_obs or data keys")
         return model, np.zeros(0), model.factor_indices, f"fixture:{fixture.name}"
-    model_name = settings.get_choice("model", "gandk", _MODEL_DEFAULTS)
-    theta_default, n_obs_default = _MODEL_DEFAULTS[model_name]
+    model_name = settings.get_choice("model", "gandk", _MODELS)
+    theta_default, n_obs_default, law_keys = _MODELS[model_name]
+    _reject_keys(settings, _LAW_KEYS - law_keys, f"model {model_name!r}")
+    if settings.has("data") and settings.has("n_obs"):
+        raise ConfigError("give either 'data' or 'n_obs', not both")
     if model_name == "gandk":
         model = GandKModel(
             half_width=settings.get_float("epsilon", 0.2),

@@ -117,12 +117,17 @@ class DiscreteFixtureModel:
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return rng.choice(self.measure.n_points, size=size, p=self.measure.probs)
 
-    def log_potentials(self, data) -> Callable:
+    def bind(self, data) -> tuple:
+        """Check the factor indices once; support points are their own keys."""
         rows = np.asarray(data, dtype=np.intp)
         if rows.ndim != 1 or ((rows < 0) | (rows >= self.n_factors)).any():
             raise ValueError(
                 f"fixture observations must be factor indices in [0, {self.n_factors})"
             )
         log_values = self._log_values
-        return lambda x: log_values[rows[:, None], np.asarray(x, dtype=np.intp)[None, :]]
+
+        def log_potentials(x):
+            return log_values[rows[:, None], np.asarray(x, dtype=np.intp)[None, :]]
+
+        return np.asarray, log_potentials
 

@@ -10,14 +10,14 @@ and the MCMC driver:
 * ``sample_latent(theta, rng, size)``, one latent draw per particle; a
   ``size`` of (R, N) draws R replicates of N particles, and (1, N) the
   same numbers as N
-* ``latent_keys(data)``, optional, which returns a function mapping
-  latents, elementwise, to integer keys such that latents with equal keys
-  have equal potential columns; without it a latent is its own key
-* ``log_potentials(data)``, which checks and binds the observations once
-  (they must be finite, and integer symbols for the two-state model) and
-  returns a function mapping K keys to the (n_obs, K) log potential
-  matrix in one broadcast, one row per observation and one column per
-  key; entry (p, j) may depend only on observation p and key j
+* ``bind(data)``, which checks the observations once (they must be
+  finite, and integer symbols for the two-state model) and returns two
+  functions, ``(keys, log_potentials)``.  ``keys`` maps latents,
+  elementwise, to integer keys such that latents with equal keys have
+  equal potential columns.  ``log_potentials`` maps K keys to the
+  (n_obs, K) log potential matrix in one broadcast, one row per
+  observation and one column per key; entry (p, j) may depend only on
+  observation p and key j
 * ``simulate(theta, n_obs, rng)``, synthetic observations
 * ``default_prior()``
 
@@ -27,7 +27,8 @@ estimators a compressed ``PotentialMatrix`` whose ``columns`` map each
 particle to its key's column.  The distinct keys are found by a table
 over their range or by a sort when that range is much wider than the
 particle count.  Integer latents (Poisson-Beta counts, two-state
-states, fixture support points) are their own keys.  A g-and-k latent
+states, fixture support points) are their own keys: their ``keys`` is
+``np.asarray``, which returns them as they are.  A g-and-k latent
 is keyed by its cell among the 2n interval ends: how many lower ends lie
 below it and upper ends at or below it, so a g-and-k matrix has at most
 2n + 1 columns.  The compressed matrix gives the same estimates, bit for
@@ -118,7 +119,7 @@ _DENSE_SPAN = 4
 # from 2**16 particles up.
 _PASS_PARTICLES = 2**16
 
-# Latents that ``GandKModel.latent_keys`` searches at once: a block's
+# Latents that the keys of ``GandKModel.bind`` search at once: a block's
 # arrays, 128 KiB each, stay in a core's cache.
 _KEY_BLOCK = 2**14
 
@@ -379,27 +380,18 @@ class GandKModel:
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return gandk_quantile_transform(rng.standard_normal(size), self.params(theta))
 
-    def _ends(self, centers) -> np.ndarray:
-        # The same doubles that ``interval_log_potential`` compares against.
-        lower = np.nextafter(centers - self.half_width, np.inf)
-        return np.sort(np.concatenate([lower, centers + self.half_width]))
+    def bind(self, data) -> tuple:
+        """Check the observations once; return ``(keys, log_potentials)``.
 
-    def log_potentials(self, data) -> Callable:
-        centers = _observation_column(data)
-        # A latent with key k lies at or above the k-th end and below the next.
-        cells = np.concatenate(([-np.inf], self._ends(centers[:, 0])))
-        half_width = self.half_width
-        return lambda keys: interval_log_potential(cells[keys][None, :], centers, half_width)
-
-    def latent_keys(self, data) -> Callable:
-        """Key a latent x by its cell: #{p: lo_p < x} + #{p: hi_p <= x}.
-
+        ``keys`` maps a latent x to its cell: #{p: lo_p < x} + #{p: hi_p <= x}.
         x lies in the open interval (lo_p, hi_p) when it is above lo_p and
         below hi_p.  Above lo_p means at or above the next double up, so the
         key counts the interval ends at or below x, with each lower end
         moved up one double.  Those ends are a prefix of the sorted ends, so
         the key fixes which intervals hold x, and with them x's potential
         column.  There are at most 2n + 1 keys, in the order of the latents.
+        ``log_potentials`` evaluates the intervals at a point of each key's
+        cell: the end it starts at, or -inf for key 0.
 
         The key is ``ends.searchsorted(x, "right")``, found by a branchless
         binary search: on fresh latents the branches of ``searchsorted``
@@ -412,11 +404,17 @@ class GandKModel:
         temporaries stay in cache: on 327,680 latents at n = 80, one
         block would take longer than ``searchsorted``.
         """
-        ends = self._ends(_observation_column(data)[:, 0])
+        centers = _observation_column(data)
+        half_width = self.half_width
+        # The same doubles that ``interval_log_potential`` compares against.
+        lower = np.nextafter(centers[:, 0] - half_width, np.inf)
+        ends = np.sort(np.concatenate([lower, centers[:, 0] + half_width]))
         n_ends = ends.size
         padded = np.full(1 << n_ends.bit_length(), np.inf)
         padded[:n_ends] = ends
         steps = [padded.size >> k for k in range(1, padded.size.bit_length())]
+        # A latent with key k lies at or above the k-th end and below the next.
+        cells = np.concatenate(([-np.inf], ends))
 
         def keys(x):
             x = np.asarray(x)
@@ -430,7 +428,10 @@ class GandKModel:
             np.minimum(found, n_ends, out=found)
             return found.reshape(x.shape)
 
-        return keys
+        def log_potentials(cell_keys):
+            return interval_log_potential(cells[cell_keys][None, :], centers, half_width)
+
+        return keys, log_potentials
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         return gandk_simulate_data(
@@ -457,7 +458,8 @@ class PoissonBetaModel:
     def sample_latent(self, theta, rng: np.random.Generator, size=None):
         return sample_poisson_beta(self.params(theta), rng, size=size)
 
-    def log_potentials(self, data) -> Callable:
+    def bind(self, data) -> tuple:
+        """Check the observations once; counts are their own keys."""
         centers = _observation_column(data)
         # Latent counts stay below 2**63, so the squared distance from any
         # of them to such an observation is below the largest double.
@@ -469,7 +471,7 @@ class PoissonBetaModel:
                 f"got {centers[bad, 0]} at index {bad}"
             )
         sigma = self.sigma
-        return lambda x: normal_log_potential(np.asarray(x)[None, :], centers, sigma)
+        return np.asarray, lambda x: normal_log_potential(np.asarray(x)[None, :], centers, sigma)
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         counts = self.sample_latent(theta, rng, size=int(n_obs))
@@ -512,10 +514,11 @@ class TwoStateLatentModel:
             )
         return column.astype(np.intp)
 
-    def log_potentials(self, data) -> Callable:
+    def bind(self, data) -> tuple:
+        """Check the observations once; states are their own keys."""
         symbols = self._symbol_column(data)
         log_kernel = np.log(self.kernel)
-        return lambda x: log_kernel[np.asarray(x, dtype=np.intp)[None, :], symbols]
+        return np.asarray, lambda x: log_kernel[np.asarray(x, dtype=np.intp)[None, :], symbols]
 
     def simulate(self, theta, n_obs: int, rng: np.random.Generator) -> np.ndarray:
         states = self.sample_latent(theta, rng, size=int(n_obs))
@@ -644,8 +647,7 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     check_particle_count(n_particles, n_obs, "n_obs")
     if kind == "simple":
         simple_block_size(n_particles, n_obs, "n_obs")
-    log_potential_matrix = model.log_potentials(data)
-    latent_keys = model.latent_keys(data) if hasattr(model, "latent_keys") else None
+    latent_keys, log_potential_matrix = model.bind(data)
     per_pass = max(1, _PASS_PARTICLES // n_particles)
 
     def pass_matrices(theta, rng: np.random.Generator, block: int) -> list:
@@ -659,9 +661,8 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
         size = (block, n_particles)
         # The replicates' latents one after another.
         latents = np.asarray(model.sample_latent(theta, rng, size=size)).reshape(-1)
-        keys = latents if latent_keys is None else latent_keys(latents)
         # Evaluate the potentials once per distinct key of each replicate.
-        values, columns, starts = _distinct_values(keys, block)
+        values, columns, starts = _distinct_values(latent_keys(latents), block)
         log_values = log_potential_matrix(values)
         return [
             PotentialMatrix(

@@ -238,7 +238,8 @@ def test_07_monte_carlo_consistency():
     stream = make_stream(FUZZ_SEED, 7)
     latents = model.sample_latent((), stream, size=(100_000, 2))
     # Every replicate's (factor, particle) log potentials in one evaluation.
-    tensor = model.log_potentials(model.factor_indices)(latents.ravel())
+    _, log_potentials = model.bind(model.factor_indices)
+    tensor = log_potentials(latents.ravel())
     tensor = tensor.reshape(model.n_factors, *latents.shape).swapaxes(0, 1)
     logs = np.array([
         estimate_recycle(PotentialMatrix(values), stream)[0].log_value

@@ -588,6 +588,55 @@ def test_estimate_config_errors_exit_2(tmp_path, capsys, text):
     assert not out.exists() or not list(out.iterdir())
 
 
+# Problem keys that the chosen problem does not take, each with its
+# error message.
+_UNTAKEN_KEYS = [
+    ("model = poisson-beta\ndata = obs.dat\nn_obs = 50\n",
+     "give either 'data' or 'n_obs', not both"),
+    ("model = gandk\nn_obs = 4\nsigma = 5\n", "model 'gandk' takes no sigma"),
+    ("n_obs = 4\nsigma = 5\n", "model 'gandk' takes no sigma"),
+    ("model = two-state\nn_obs = 4\nsigma = 5\n", "model 'two-state' takes no sigma"),
+    ("model = poisson-beta\nn_obs = 4\nepsilon = 0.2\n",
+     "model 'poisson-beta' takes no epsilon"),
+    ("model = poisson-beta\nn_obs = 4\nunit_noise = true\n",
+     "model 'poisson-beta' takes no unit_noise"),
+    ("model = two-state\nn_obs = 4\nepsilon = 0.2\nunit_noise = false\n",
+     "model 'two-state' takes no epsilon, unit_noise"),
+]
+# mcmc takes no fixture key at all.
+_UNTAKEN_FIXTURE_KEYS = [
+    ("fixture = d1\nsigma = 5\n", "fixture 'd1' takes no sigma"),
+    ("fixture = d1\nepsilon = 0.2\n", "fixture 'd1' takes no epsilon"),
+    ("fixture = d3\nunit_noise = true\n", "fixture 'd3' takes no unit_noise"),
+]
+# Settings that keep a run small where a key is wrongly dropped.
+_SMALL_RUN = {
+    "estimate": "replicates = 5\n",
+    "tune": "replicates = 5\nmax_particles = 64\n",
+    "mcmc": "n_particles = 8\nchain_length = 5\npilot_length = 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (command, text, message)
+        for command in ("estimate", "tune", "mcmc")
+        for text, message in _UNTAKEN_KEYS
+        + (_UNTAKEN_FIXTURE_KEYS if command != "mcmc" else [])
+    ],
+)
+def test_problem_keys_the_problem_does_not_take_exit_2(
+    tmp_path, capsys, command, text, message
+):
+    (tmp_path / "obs.dat").write_text("3\n12\n")
+    config = write_config(tmp_path, text + _SMALL_RUN[command])
+    out = tmp_path / "results"
+    assert run([command, "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_estimate_indivisible_simple_blocks_exit_2(tmp_path, capsys):
     config = write_config(
         tmp_path, "fixture = d1\nestimator = simple\nn_particles = 3\n"
@@ -896,7 +945,9 @@ _ODD_WORDS = {
 # them, to a valid small count or to an odd value that is never huge.
 _SIZE_KEYS = {"replicates", "max_particles", "chain_length", "pilot_length", "tune_replicates"}
 _SIZE_ODD = ["0", "-3", "2.5", "nan", "inf", "many"]
-_PROBLEM = {"model", "theta", "n_obs", "data"}
+_PROBLEM = {"model", "theta", "n_obs", "data", "epsilon", "sigma", "unit_noise"}
+# The keys of each model's observation law; a model takes no other's.
+_LAW_KEYS = {"gandk": {"epsilon", "unit_noise"}, "poisson-beta": {"sigma"}, "two-state": set()}
 
 _OUTPUTS = {
     "estimate": {"estimates.csv", "estimate_summary.json"},
@@ -931,8 +982,11 @@ def _cli_runs(draw):
         for key in _PROBLEM:
             values.pop(key, None)
     else:
-        values["n_obs"] = draw(_VALID["n_obs"])
         model = values.get("model", "gandk")
+        for key in set().union(*_LAW_KEYS.values()) - _LAW_KEYS[model]:
+            values.pop(key, None)
+        if "data" not in values:
+            values["n_obs"] = draw(_VALID["n_obs"])
         if draw(st.booleans()):
             theta = list(draw(_THETA[model]))
             if model in ("gandk", "poisson-beta"):

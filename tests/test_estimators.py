@@ -886,7 +886,7 @@ def test_recycle_mean_matches_exact_on_random_fixture():
     model = DiscreteFixtureModel(measure, potentials)
     stream = make_stream(505)
     latents = model.sample_latent((), stream, size=(20000, n_particles))
-    log_potentials = model.log_potentials(model.factor_indices)
+    _, log_potentials = model.bind(model.factor_indices)
     draws = np.exp([
         estimate_recycle(PotentialMatrix(log_potentials(x)), stream)[0].log_value
         for x in latents

@@ -28,7 +28,8 @@ def test_fixture_model_interface():
     assert (model.factor_indices == np.arange(2)).all()
     latents = model.sample_latent(np.zeros(0), make_stream(2), size=2000)
     assert latents.shape == (2000,)
-    matrix = model.log_potentials(model.factor_indices)(np.arange(measure.n_points))
+    keys, log_potentials = model.bind(model.factor_indices)
+    matrix = log_potentials(keys(np.arange(measure.n_points)))
     assert np.exp(matrix) == pytest.approx(potentials.values)
     # Latent draws follow the measure.
     counts = np.bincount(latents, minlength=measure.n_points)
@@ -48,6 +49,7 @@ def test_fixture_model_target_matches_oracle():
     measure, potentials = get_fixture("d1").build()
     model = DiscreteFixtureModel(measure, potentials)
     # Enumerate over the latent support instead of sampling.
-    matrix = model.log_potentials(model.factor_indices)(np.arange(measure.n_points))
+    _, log_potentials = model.bind(model.factor_indices)
+    matrix = log_potentials(np.arange(measure.n_points))
     means = np.exp(matrix) @ measure.probs
     assert np.prod(means) == pytest.approx(mean_product(measure, potentials))

@@ -156,8 +156,7 @@ def test_gandk_model_pieces():
     )
     assert prior.log_density(np.array([3.0, -1.0, 2.0, 0.5])) == -math.inf
     data = model.simulate(np.array([3.0, 1.0, 2.0, 0.5]), 5, make_stream(0))
-    potentials = model.log_potentials(data)
-    keys = model.latent_keys(data)
+    keys, potentials = model.bind(data)
     assert potentials(keys(np.zeros(7))).shape == (5, 7)
     # A latent draw equal to the observation sits inside its own interval.
     assert potentials(keys(np.array([data[2]])))[2, 0] == 0.0
@@ -251,7 +250,7 @@ def test_poisson_beta_model_noise_and_potentials():
     theta = np.array([500.0, 2.0, 8.0])
     data = model.simulate(theta, 2000, make_stream(14))
     assert not np.allclose(data, np.round(data))  # additive noise is real-valued
-    potentials = model.log_potentials(data)
+    _, potentials = model.bind(data)
     # Gaussian form: exact at the center, quadratic decay in units of sigma.
     center = data[0]
     at_center, off = potentials(np.array([center, center + 5.0]))[0]
@@ -274,10 +273,11 @@ def test_normal_potential_below_the_double_range_is_minus_inf():
     assert normal_log_potential(1e10, 0.0, 1e-150) == -math.inf
     # A Poisson-Beta observation may lie 1e154 from zero, where the squared
     # distance to any count stays finite, and no further.
-    far = PoissonBetaModel().log_potentials([-1e154, 3.0])(np.array([0, 2**62]))
+    _, potentials = PoissonBetaModel().bind([-1e154, 3.0])
+    far = potentials(np.array([0, 2**62]))
     assert np.isfinite(far).all()
     with pytest.raises(ValueError, match="within"):
-        PoissonBetaModel().log_potentials([1.0, 1e300])
+        PoissonBetaModel().bind([1.0, 1e300])
 
 
 # -------------------------------------------------------------------- priors
@@ -358,8 +358,8 @@ def test_two_state_matches_oracle_target():
 
 def test_two_state_potentials_follow_kernel_columns():
     model = TwoStateLatentModel()
-    potentials = model.log_potentials(np.array([1, 0]))
-    matrix = potentials(np.array([0, 1]))
+    keys, potentials = model.bind(np.array([1, 0]))
+    matrix = potentials(keys(np.array([0, 1])))
     assert matrix[0] == pytest.approx(np.log([0.25, 0.75]))
     assert matrix[1] == pytest.approx(np.log([0.75, 0.25]))
 
@@ -382,7 +382,7 @@ def test_two_state_weight_validation():
 def test_two_state_rejects_non_symbol_observations(symbols):
     model = TwoStateLatentModel()
     with pytest.raises(ValueError, match="integer symbols in \\[0, 2\\)"):
-        model.log_potentials(symbols)
+        model.bind(symbols)
     with pytest.raises(ValueError, match="integer symbols in \\[0, 2\\)"):
         model.exact_log_likelihood(np.array([0.5]), symbols)
 
@@ -395,8 +395,7 @@ def test_two_state_accepts_integral_float_symbols():
     )
     latents = np.array([0, 1, 1])
     assert np.array_equal(
-        model.log_potentials([1.0, 0.0])(latents),
-        model.log_potentials(np.array([1, 0]))(latents),
+        model.bind([1.0, 0.0])[1](latents), model.bind(np.array([1, 0]))[1](latents)
     )
 
 
@@ -441,8 +440,8 @@ def test_log_potentials_broadcast_matches_scalar_potentials():
     ]
     for model, theta, data, scalar in cases:
         latents = model.sample_latent(theta, rng, size=25)
-        keys = model.latent_keys(data)(latents) if hasattr(model, "latent_keys") else latents
-        matrix = model.log_potentials(data)(keys)
+        keys, log_potentials = model.bind(data)
+        matrix = log_potentials(keys(latents))
         assert matrix.shape == (len(data), 25)
         for p, y in enumerate(data):
             row = np.array([scalar(x, y) for x in latents], dtype=float)
@@ -496,7 +495,7 @@ def test_simple_estimate_reads_the_compressed_matrix():
     n_particles = 204_800
     latents = model.sample_latent(theta, make_stream(34), size=n_particles)
     values, columns = np.unique(latents, return_inverse=True)
-    log_potential_matrix = model.log_potentials(data)
+    _, log_potential_matrix = model.bind(data)
     tracemalloc.start()
     try:
         matrix = PotentialMatrix(log_potential_matrix(values), columns)
@@ -528,9 +527,10 @@ def test_gandk_equal_keys_give_equal_potential_columns(case):
     near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
     between = data.draw(st.lists(st.floats(-2.0, 3.0), max_size=20))
     latents = np.concatenate([near, between, near, [-np.inf, np.inf]])
-    keys = model.latent_keys(centers)(latents)
+    latent_keys, log_potentials = model.bind(centers)
+    keys = latent_keys(latents)
     columns = interval_log_potential(latents[None, :], np.asarray(centers)[:, None], half_width)
-    assert np.array_equal(model.log_potentials(centers)(keys), columns)
+    assert np.array_equal(log_potentials(keys), columns)
     distinct, first = np.unique(keys, return_index=True)
     assert distinct.size <= 2 * len(centers) + 1
     for key, j in zip(distinct, first):
@@ -552,8 +552,8 @@ def test_gandk_potentials_of_keys_are_the_interval_potentials(half_width):
     latents = np.concatenate([near, [-np.inf, np.inf], spread])
     expected = interval_log_potential(latents[None, :], centers[:, None], half_width)
     assert (expected == 0.0).any() and (expected == -np.inf).any()
-    keys = model.latent_keys(centers)(latents)
-    assert np.array_equal(model.log_potentials(centers)(keys), expected)
+    keys, log_potentials = model.bind(centers)
+    assert np.array_equal(log_potentials(keys(latents)), expected)
 
 
 @pytest.mark.parametrize("n_obs", [1, 2, 3, 16, 20, 32, 80])
@@ -568,7 +568,7 @@ def test_gandk_keys_count_the_ends_at_or_below(n_obs):
     near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
     draws = gandk_quantile_transform(rng.standard_normal(100_000), theta)
     latents = np.concatenate([near, [0.0, -0.0, -np.inf, np.inf], draws])
-    keys = GandKModel(half_width).latent_keys(centers)
+    keys, _ = GandKModel(half_width).bind(centers)
     expected = ends.searchsorted(latents, "right")
     assert np.array_equal(keys(latents), expected)
     wide = latents[: latents.size // 8 * 8].reshape(8, -1)
@@ -602,7 +602,8 @@ def test_gandk_recycle_on_cells_has_the_oracle_law(monkeypatch):
     estimate = log_likelihood_estimator(model, centers, "recycle", latents.size)
     rng = make_stream(44)
     draws = np.exp([estimate(None, rng) for _ in range(10_000)])
-    full = model.log_potentials(centers)(model.latent_keys(centers)(latents))
+    keys, log_potentials = model.bind(centers)
+    full = log_potentials(keys(latents))
     matrix = matrices[0]
     assert matrix.log_values.shape[1] <= 2 * centers.size + 1
     assert np.array_equal(matrix.expanded(), full)
@@ -614,7 +615,10 @@ def test_gandk_recycle_on_cells_has_the_oracle_law(monkeypatch):
 
 
 class _FixedLatents:
-    """Integer latents given in advance; records the values its potentials are evaluated on."""
+    """Integer latents given in advance, their own keys.
+
+    Records the values its potentials are evaluated on.
+    """
 
     def __init__(self, latents):
         self.latents = latents
@@ -623,12 +627,12 @@ class _FixedLatents:
     def sample_latent(self, theta, rng, size=None):
         return self.latents.reshape(size)
 
-    def log_potentials(self, data):
+    def bind(self, data):
         def matrix(values):
             self.evaluated.append(values)
             return np.zeros((len(data), values.size))
 
-        return matrix
+        return np.asarray, matrix
 
 
 @pytest.mark.parametrize(
@@ -707,14 +711,11 @@ def _replicate_problem(name):
 
 def _scalar_reference(model, data, kind, n_particles):
     """The one-replicate closure written out: one draw of n_particles, np.unique, one kernel."""
-    log_potential_matrix = model.log_potentials(data)
-    latent_keys = getattr(model, "latent_keys", None)
-    latent_keys = latent_keys(data) if latent_keys else None
+    latent_keys, log_potential_matrix = model.bind(data)
 
     def estimate(theta, rng):
         latents = np.asarray(model.sample_latent(theta, rng, size=n_particles))
-        keys = latents if latent_keys is None else latent_keys(latents)
-        values, columns = np.unique(keys, return_inverse=True)
+        values, columns = np.unique(latent_keys(latents), return_inverse=True)
         matrix = PotentialMatrix(log_potential_matrix(values), columns)
         if kind == "recycle":
             return estimate_recycle(matrix, rng)[0].log_value
@@ -814,7 +815,7 @@ def test_poisson_beta_replicate_block_matches_unique_per_row(rate, monkeypatch):
     log_likelihood_estimator(model, data, "biased", 50)(theta, make_stream(80), 3)
     latents = model.sample_latent(theta, make_stream(80), size=(3, 50))
     assert rate < 1e3 or latents.max() - latents.min() > 2**58
-    log_potential_matrix = model.log_potentials(data)
+    _, log_potential_matrix = model.bind(data)
     assert len(seen) == 3
     for matrix, row in zip(seen, latents):
         values, columns = np.unique(row, return_inverse=True)
@@ -833,8 +834,7 @@ def test_gandk_replicate_block_keeps_each_replicates_columns(monkeypatch):
     data = model.simulate(theta, 20, make_stream(81))
     log_likelihood_estimator(model, data, "biased", 640)(theta, make_stream(82), 5)
     latents = model.sample_latent(theta, make_stream(82), size=(5, 640))
-    log_potential_matrix = model.log_potentials(data)
-    latent_keys = model.latent_keys(data)
+    latent_keys, log_potential_matrix = model.bind(data)
     assert len(seen) == 5
     for matrix, row in zip(seen, latents):
         assert matrix.log_values.shape[1] <= 2 * data.size + 1
