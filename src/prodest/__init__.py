@@ -10,7 +10,6 @@ latent-variable likelihoods and pseudo-marginal MCMC (``models``,
 from .estimators import (
     DimensionError,
     EnumerationLimitError,
-    LogEstimate,
     PotentialMatrix,
     PotentialValueError,
     estimate_biased,
@@ -46,10 +45,8 @@ from .oracle import (
     MomentReport,
     estimator_distribution_exact,
     factor_relative_variances,
-    independent_second_moment,
     latent_expected_second_moment,
     mean_product,
-    moment_product,
     moment_report,
     second_moment_perm_exact,
     second_moment_recycle_exact,

@@ -3,10 +3,10 @@
 The target is ``prod_p E[G_p(Z)]`` for potentials ``G_1..G_n`` and a single
 latent law.  Every estimator here consumes an (n_factors, n_particles)
 matrix of log potential values, one row per factor and one column per
-particle, and returns a log estimate.  Matrix entries may be ``-inf``
-(a potential vanishing at a particle) but never NaN, and all accumulation
-stays in log space so products of many factors neither underflow nor
-overflow.
+particle, and returns a log estimate as a float, ``-inf`` for an estimate
+of exactly zero.  Matrix entries may be ``-inf`` (a potential vanishing at
+a particle) but never NaN, and all accumulation stays in log space so
+products of many factors neither underflow nor overflow.
 
 Estimators
 ----------
@@ -125,7 +125,6 @@ __all__ = [
     "EnumerationLimitError",
     "PotentialValueError",
     "PotentialMatrix",
-    "LogEstimate",
     "estimate_simple",
     "estimate_biased",
     "estimate_recycle",
@@ -276,25 +275,12 @@ class PotentialMatrix:
         return self.log_values[:, self.columns]
 
 
-@dataclass(frozen=True)
-class LogEstimate:
-    """A non-negative estimate stored as its logarithm (-inf means zero)."""
-
-    log_value: float
-
-    def __post_init__(self):
-        lv = float(self.log_value)
-        if math.isnan(lv) or lv == math.inf:
-            raise ValueError(f"log estimate must be in [-inf, inf), got {lv!r}")
-        object.__setattr__(self, "log_value", lv)
-
-
-def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
+def estimate_simple(matrix: PotentialMatrix) -> float:
     """Block estimator: factor p averaged over its own block of columns.
 
     Requires n_particles to be a multiple of n_factors; with block_size =
     n_particles / n_factors, factor p owns columns [p * block_size,
-    (p + 1) * block_size).
+    (p + 1) * block_size).  Returns the log estimate as a float.
     """
     n_factors = matrix.n_factors
     block_size = simple_block_size(matrix.n_particles, n_factors)
@@ -304,28 +290,29 @@ def estimate_simple(matrix: PotentialMatrix) -> LogEstimate:
     ]
     shifts = blocks.max(axis=1)
     if shifts.min() == -np.inf:
-        return LogEstimate(-np.inf)
+        return -math.inf
     blocks -= shifts[:, None]
     np.exp(blocks, out=blocks)
     total = 0.0
     log_block = math.log(block_size)
     for shift, mass in zip(shifts.tolist(), blocks.sum(axis=1).tolist()):
         total += shift + math.log(mass) - log_block
-    return LogEstimate(total)
+    return total
 
 
-def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
+def estimate_biased(matrix: PotentialMatrix) -> float:
     """Full-average estimator: every factor averaged over every column.
 
     Its expectation is a product over expected row averages, which differs
     from the target product whenever the same particle enters several
     factors, so this is the (generally biased) reference point.  Each
     column counts once per particle, at O(n_factors * n_columns) cost.
+    Returns the log estimate as a float.
     """
     lv = matrix.log_values
     shifts = lv.max(axis=1)
     if shifts.min() == -np.inf:
-        return LogEstimate(-np.inf)
+        return -math.inf
     # Rows in C order, so that each row is summed pairwise as a 1-d array.
     weights = np.subtract(lv, shifts[:, None], order="C")
     np.exp(weights, out=weights)
@@ -336,12 +323,12 @@ def estimate_biased(matrix: PotentialMatrix) -> LogEstimate:
     total = 0.0
     for log_mass in log_masses.tolist():
         total += log_mass - log_n
-    return LogEstimate(total)
+    return total
 
 
 def estimate_recycle(
     matrix: PotentialMatrix, rng: np.random.Generator
-) -> tuple[LogEstimate, tuple[int, ...]]:
+) -> tuple[float, tuple[int, ...]]:
     """Recycled estimator: sequential averages over not-yet-selected particles.
 
     Starting from the full particle set, factor p is averaged over the
@@ -365,7 +352,7 @@ def estimate_recycle(
     available particles when the former would leave their mass below
     ``_MIN_WEIGHT_TOTAL``.
 
-    Returns the log estimate together with the n_factors columns of
+    Returns the log estimate, a float, together with the n_factors columns of
     ``matrix.log_values`` retired, in order, each at most its particle
     count times.  The estimator is unbiased for the target product
     and reproducible given (matrix, generator state).  It draws n_factors
@@ -437,7 +424,7 @@ def estimate_recycle(
             delta = np.exp(lv[later, picked] - shift[later]) - unit[later, p]
             for q, change in enumerate(delta.tolist(), p + 1):
                 retired[q] += change
-    return LogEstimate(log_total), tuple(picks)
+    return log_total, tuple(picks)
 
 
 def _exact_step(
@@ -460,7 +447,7 @@ def _exact_step(
             # Taken columns may sit far above it; keep them out of the exp so
             # it cannot overflow.
             row = np.where(live > 0, row, -np.inf)
-            shift = row.max()
+            shift = float(row.max())
             if shift > -np.inf:
                 running = (np.exp(row - shift) * live).cumsum()
                 total = running[-1]
@@ -492,7 +479,7 @@ def _subset_indices(n_factors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def estimate_perm_exact(
     matrix: PotentialMatrix, max_terms: int = DEFAULT_ENUMERATION_CAP
-) -> LogEstimate:
+) -> float:
     """Average the factor product over all ordered selections of distinct columns.
 
     The average runs over every injective assignment of factors to
@@ -502,6 +489,7 @@ def estimate_perm_exact(
     "Permanent dynamic program" in the module docstring, in
     n_particles * 2**n_factors * n_factors updates.  Raises
     ``EnumerationLimitError`` when that count exceeds ``max_terms``.
+    Returns the log estimate as a float.
     """
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
     n_sets = 1 << n_factors
@@ -529,4 +517,4 @@ def estimate_perm_exact(
             total = weights.sum(axis=0)
             np.log(total, out=total)
             np.add(top, total, out=log_sums)
-    return LogEstimate(log_sums[-1] - math.log(math.perm(n_particles, n_factors)))
+    return float(log_sums[-1]) - math.log(math.perm(n_particles, n_factors))

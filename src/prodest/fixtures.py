@@ -24,6 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .models import symbol_column
 from .oracle import DiscreteLVM, DiscreteMeasure, DiscretePotentialSet, check_pair
 
 __all__ = [
@@ -119,15 +120,13 @@ class DiscreteFixtureModel:
 
     def bind(self, data) -> tuple:
         """Check the factor indices once; support points are their own keys."""
-        rows = np.asarray(data, dtype=np.intp)
-        if rows.ndim != 1 or ((rows < 0) | (rows >= self.n_factors)).any():
-            raise ValueError(
-                f"fixture observations must be factor indices in [0, {self.n_factors})"
-            )
+        rows = symbol_column(
+            data, self.n_factors, "fixture observations must be integer factor indices"
+        )
         log_values = self._log_values
 
         def log_potentials(x):
-            return log_values[rows[:, None], np.asarray(x, dtype=np.intp)[None, :]]
+            return log_values[rows, np.asarray(x, dtype=np.intp)[None, :]]
 
         return np.asarray, log_potentials
 

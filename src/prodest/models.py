@@ -11,13 +11,13 @@ and the MCMC driver:
   ``size`` of (R, N) draws R replicates of N particles, and (1, N) the
   same numbers as N
 * ``bind(data)``, which checks the observations once (they must be
-  finite, and integer symbols for the two-state model) and returns two
-  functions, ``(keys, log_potentials)``.  ``keys`` maps latents,
-  elementwise, to integer keys such that latents with equal keys have
-  equal potential columns.  ``log_potentials`` maps K keys to the
-  (n_obs, K) log potential matrix in one broadcast, one row per
-  observation and one column per key; entry (p, j) may depend only on
-  observation p and key j
+  finite, and integers in range for the two-state model and the fixture
+  model, through ``symbol_column``) and returns two functions, ``(keys,
+  log_potentials)``.  ``keys`` maps latents, elementwise, to integer
+  keys such that latents with equal keys have equal potential columns.
+  ``log_potentials`` maps K keys to the (n_obs, K) log potential matrix
+  in one broadcast, one row per observation and one column per key;
+  entry (p, j) may depend only on observation p and key j
 * ``simulate(theta, n_obs, rng)``, synthetic observations
 * ``default_prior()``
 
@@ -506,13 +506,9 @@ class TwoStateLatentModel:
 
     def _symbol_column(self, data) -> np.ndarray:
         """Observations as an (n_obs, 1) column of symbol indices into the kernel."""
-        column = _observation_column(data)
-        n_symbols = self.kernel.shape[1]
-        if not ((column >= 0) & (column < n_symbols) & (column == np.floor(column))).all():
-            raise ValueError(
-                f"two-state observations must be integer symbols in [0, {n_symbols})"
-            )
-        return column.astype(np.intp)
+        return symbol_column(
+            data, self.kernel.shape[1], "two-state observations must be integer symbols"
+        )
 
     def bind(self, data) -> tuple:
         """Check the observations once; states are their own keys."""
@@ -553,6 +549,19 @@ def _observation_column(data) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(data))[0])
         raise ValueError(f"observations must be finite, got {data[bad]} at index {bad}")
     return data[:, None]
+
+
+def symbol_column(data, n_symbols: int, rule: str) -> np.ndarray:
+    """Observations as an (n_obs, 1) ``np.intp`` column of integers in [0, n_symbols).
+
+    A non-finite observation fails as in ``_observation_column``; any other
+    that is not such an integer raises ``ValueError`` with ``rule``, which
+    says what the observations must be.
+    """
+    column = _observation_column(data)
+    if not ((column >= 0) & (column < n_symbols) & (column == np.floor(column))).all():
+        raise ValueError(f"{rule} in [0, {n_symbols})")
+    return column.astype(np.intp)
 
 
 def _distinct_values(keys: np.ndarray, n_rows: int) -> tuple:
@@ -613,7 +622,8 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     replicate draws ``n_particles`` fresh latents and applies the requested
     estimator.  The simple kind requires n_particles to be a multiple of
     the number of observations.  With no observations the estimate is
-    always 0.0: an empty product of expectations is 1.
+    always 0.0: an empty product of expectations is 1.  A kernel result of
+    NaN or +inf raises ``ValueError``.
 
     Replicates run in passes of at most ``_PASS_PARTICLES`` (2**16)
     particles, one replicate per pass when n_particles is at least that,
@@ -680,13 +690,17 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
         for start in range(0, n_replicates, per_pass):
             for matrix in pass_matrices(theta, rng, min(per_pass, n_replicates - start)):
                 if kind == "recycle":
-                    logs.append(estimate_recycle(matrix, rng)[0].log_value)
+                    log_value = estimate_recycle(matrix, rng)[0]
                 elif kind == "simple":
-                    logs.append(estimate_simple(matrix).log_value)
+                    log_value = estimate_simple(matrix)
                 elif kind == "perm":
-                    logs.append(estimate_perm_exact(matrix).log_value)
+                    log_value = estimate_perm_exact(matrix)
                 else:
-                    logs.append(estimate_biased(matrix).log_value)
+                    log_value = estimate_biased(matrix)
+                # NaN fails this comparison too.
+                if not log_value < math.inf:
+                    raise ValueError(f"log estimate must be in [-inf, inf), got {log_value!r}")
+                logs.append(log_value)
         return logs[0] if size is None else np.array(logs)
 
     return estimate

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -53,3 +55,20 @@ def test_fixture_model_target_matches_oracle():
     matrix = log_potentials(np.arange(measure.n_points))
     means = np.exp(matrix) @ measure.probs
     assert np.prod(means) == pytest.approx(mean_product(measure, potentials))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([0.7, 1.9], "integer factor indices in \\[0, 2\\)"),
+        ([0, 2], "integer factor indices in \\[0, 2\\)"),
+        ([math.nan, 1], "observations must be finite, got nan at index 0"),
+    ],
+    ids=["fractional", "past-the-last", "nan"],
+)
+def test_fixture_model_rejects_non_index_observations(data, message):
+    # Fractional indices used to bind the rows they truncate to, and NaN
+    # raised numpy's cast error rather than the model's own.
+    model = DiscreteFixtureModel(*get_fixture("d3").build())
+    with pytest.raises(ValueError, match=message):
+        model.bind(data)

@@ -10,7 +10,6 @@ from scipy import integrate, stats
 from prodest import models
 from prodest.estimators import (
     DimensionError,
-    LogEstimate,
     PotentialMatrix,
     estimate_biased,
     estimate_perm_exact,
@@ -39,9 +38,10 @@ from prodest.oracle import (
     estimator_distribution_exact,
     induced_potentials,
     mean_product,
-    recycle_conditional_moments,
 )
 from prodest.rng import make_stream
+
+from oracle_support import recycle_conditional_moments
 
 THETA_GK = GandKParams(3.0, 1.0, 2.0, 0.5)
 
@@ -651,7 +651,7 @@ def test_estimator_tabulates_distinct_latents_like_unique(latents, monkeypatch):
     # maps each particle to its value's column: both exactly as np.unique.
     seen = []
     monkeypatch.setattr(
-        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or 0.0
     )
     model = _FixedLatents(latents)
     log_likelihood_estimator(model, np.zeros(3), "biased", latents.size)(None, None)
@@ -659,6 +659,16 @@ def test_estimator_tabulates_distinct_latents_like_unique(latents, monkeypatch):
     (evaluated,) = model.evaluated
     assert evaluated.dtype == values.dtype and np.array_equal(evaluated, values)
     assert np.array_equal(seen[0].columns, columns)
+
+@pytest.mark.parametrize("size", [None, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_estimator_rejects_a_nan_or_inf_kernel_result(bad, size, monkeypatch):
+    # The closure is the one consumer of the kernels, so it checks their result.
+    monkeypatch.setattr(models, "estimate_biased", lambda matrix: bad)
+    estimate = log_likelihood_estimator(TwoStateLatentModel(), np.array([0, 1]), "biased", 4)
+    with pytest.raises(ValueError, match=r"log estimate must be in \[-inf, inf\), got (nan|inf)"):
+        estimate(np.array([0.4]), make_stream(1), size)
+
 
 @pytest.mark.parametrize("kind", ["simple", "recycle", "perm"])
 def test_log_likelihood_estimator_unbiased_on_two_state(kind):
@@ -718,12 +728,12 @@ def _scalar_reference(model, data, kind, n_particles):
         values, columns = np.unique(latent_keys(latents), return_inverse=True)
         matrix = PotentialMatrix(log_potential_matrix(values), columns)
         if kind == "recycle":
-            return estimate_recycle(matrix, rng)[0].log_value
+            return estimate_recycle(matrix, rng)[0]
         if kind == "simple":
-            return estimate_simple(matrix).log_value
+            return estimate_simple(matrix)
         if kind == "perm":
-            return estimate_perm_exact(matrix).log_value
-        return estimate_biased(matrix).log_value
+            return estimate_perm_exact(matrix)
+        return estimate_biased(matrix)
 
     return estimate
 
@@ -787,7 +797,7 @@ def test_replicate_block_tabulates_each_row_like_unique(latents, monkeypatch):
     # matrix maps its particles to its own columns, as np.unique does.
     seen = []
     monkeypatch.setattr(
-        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or 0.0
     )
     model = _FixedLatents(latents)
     estimate = log_likelihood_estimator(model, np.zeros(3), "biased", latents.shape[1])
@@ -808,7 +818,7 @@ def test_poisson_beta_replicate_block_matches_unique_per_row(rate, monkeypatch):
     # one offset each would pass the intp range; each row is sorted alone.
     seen = []
     monkeypatch.setattr(
-        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or 0.0
     )
     model, theta = PoissonBetaModel(5.0), np.array([rate, 2.0, 8.0])
     data = np.array([0.0, 3.0, 1e6])
@@ -828,7 +838,7 @@ def test_gandk_replicate_block_keeps_each_replicates_columns(monkeypatch):
     # replicate's matrix still expands to its own latents' potentials.
     seen = []
     monkeypatch.setattr(
-        models, "estimate_biased", lambda matrix: seen.append(matrix) or LogEstimate(0.0)
+        models, "estimate_biased", lambda matrix: seen.append(matrix) or 0.0
     )
     model, theta = GandKModel(0.2), np.array([3.0, 1.0, 2.0, 0.5])
     data = model.simulate(theta, 20, make_stream(81))
