@@ -42,13 +42,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import DimensionError, EnumerationLimitError, simple_block_size
+from .estimators import DimensionError, simple_block_size
 from .fixtures import DiscreteFixtureModel, get_fixture
 from .logspace import exp_or_inf, log_mean_exp
 from .mcmc import (
     BURN_IN,
     ChainConfig,
-    ParticleCountError,
     _ess_by_coordinate,
     check_pilot_length,
     initial_proposal,
@@ -90,13 +89,14 @@ _LAW_KEYS = set().union(*(law_keys for _, _, law_keys in _MODELS.values()))
 
 _BASE_KEYS = {"seed", "out"}
 _PROBLEM_KEYS = {"model", "fixture", "theta", "n_obs", "data"} | _LAW_KEYS
+# The keys of particle tuning that mcmc takes beside n_particles.
+_TUNING_KEYS = {"target", "tune_replicates", "max_particles"}
 _ALLOWED_KEYS = {
     "estimate": _BASE_KEYS | _PROBLEM_KEYS | {"estimator", "n_particles", "replicates"},
     "oracle": _BASE_KEYS | {"fixture", "n_particles", "n_obs"},
     "tune": _BASE_KEYS | _PROBLEM_KEYS | {"estimator", "target", "replicates", "max_particles"},
-    "mcmc": (_BASE_KEYS | _PROBLEM_KEYS | {
-        "estimator", "n_particles", "chain_length", "pilot_length",
-        "pilot_stages", "target", "tune_replicates", "max_particles",
+    "mcmc": (_BASE_KEYS | _PROBLEM_KEYS | _TUNING_KEYS | {
+        "estimator", "n_particles", "chain_length", "pilot_length", "pilot_stages",
     }) - {"fixture"},
 }
 
@@ -376,7 +376,7 @@ def _tune_particles(settings: Settings, model, data, theta, kind: str, seed: int
                     replicates_key: str):
     """Tune the particle count; returns (count, probe records, target, replicates)."""
     target = settings.get_float("target", 2.0)
-    n_replicates = settings.get_int(replicates_key, 200)
+    n_replicates = settings.get_int(replicates_key, 200, low=2)
     max_particles = settings.get_int("max_particles", 10_000_000)
     tuned, probes = tune_particle_count(
         model, data, theta, kind, target, n_replicates,
@@ -502,6 +502,7 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     if kind == "exact":
         if not hasattr(model, "exact_log_likelihood"):
             raise ConfigError(f"model {label!r} has no exact likelihood")
+        _reject_keys(settings, _TUNING_KEYS | {"n_particles"}, "estimator 'exact'")
         estimator = lambda th, rng: model.exact_log_likelihood(th, data)
         n_particles, probes = None, []
     else:
@@ -630,7 +631,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except (EnumerationLimitError, ParticleCountError, RuntimeError) as exc:
+    # Work caps, a failed estimate and an unwritable output raise a
+    # RuntimeError, so they exit 1.
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -97,14 +97,14 @@ either stays unassigned or takes one factor p of S::
 
 starting from f[{}] = 0 and f[S] = -inf otherwise.  The estimate is
 f[all factors] - log(n_particles! / (n_particles - n_factors)!).  The
-``max_terms`` cap counts the n_particles * 2**n_factors * n_factors
-updates.
+n_particles * 2**n_factors * n_factors updates count against
+``ENUMERATION_CAP``.
 
 The index arrays of those updates (the factor p, the subset S - {p} and
 the position of each candidate) depend on n_factors alone.  A private
 memo builds them once, read-only, and keeps those of the last factor
 count: three int64 arrays of n_factors * 2**(n_factors - 1) entries,
-about 6 MB at n_factors = 15, the largest count the default cap admits.
+about 6 MB at n_factors = 15, the largest count the cap admits.
 Each column's log-sum-exp shifts by the subset's maximum, clamped in the
 same call to at least the lowest finite double, so an all -inf subset
 shifts by a finite value and its weights are exact zeros.  Its total is
@@ -120,7 +120,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
     "DimensionError",
     "EnumerationLimitError",
     "PotentialValueError",
@@ -131,9 +131,9 @@ __all__ = [
     "estimate_perm_exact",
 ]
 
-# Ceiling on the work of an exact computation (terms enumerated, or
-# updates of the permanent dynamic program); callers may raise it explicitly.
-DEFAULT_ENUMERATION_CAP = 10_000_000
+# Ceiling on the work of an exact computation: terms enumerated, or
+# updates of the permanent dynamic program.
+ENUMERATION_CAP = 10_000_000
 
 # Below this total the available weights of a full-row shift have lost
 # precision to underflow (about exp(-745) is the smallest subnormal), so
@@ -150,7 +150,7 @@ class DimensionError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """An exact computation would exceed the configured work budget."""
+    """An exact computation would exceed ``ENUMERATION_CAP``."""
 
 
 class PotentialValueError(ValueError):
@@ -164,6 +164,15 @@ def check_particle_count(
     if n_particles < n_factors:
         raise DimensionError(
             f"need n_particles >= {count_name}, got {n_particles} < {n_factors}"
+        )
+
+
+def check_enumeration(count: int, counted: str) -> None:
+    """Raise ``EnumerationLimitError`` if ``count``, of what ``counted`` names, passes the cap."""
+    if count > ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"exact computation infeasible: {count} {counted} exceed the cap of "
+            f"{ENUMERATION_CAP}"
         )
 
 
@@ -477,9 +486,7 @@ def _subset_indices(n_factors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return factor, smaller, landing
 
 
-def estimate_perm_exact(
-    matrix: PotentialMatrix, max_terms: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def estimate_perm_exact(matrix: PotentialMatrix) -> float:
     """Average the factor product over all ordered selections of distinct columns.
 
     The average runs over every injective assignment of factors to
@@ -488,17 +495,15 @@ def estimate_perm_exact(
     space by the dynamic program over factor subsets described under
     "Permanent dynamic program" in the module docstring, in
     n_particles * 2**n_factors * n_factors updates.  Raises
-    ``EnumerationLimitError`` when that count exceeds ``max_terms``.
+    ``EnumerationLimitError`` when that count exceeds ``ENUMERATION_CAP``.
     Returns the log estimate as a float.
     """
     n_factors, n_particles = matrix.n_factors, matrix.n_particles
     n_sets = 1 << n_factors
-    n_updates = n_particles * n_sets * n_factors
-    if n_updates > max_terms:
-        raise EnumerationLimitError(
-            f"permanent infeasible: {n_updates} subset updates "
-            f"(n_particles * 2**n_factors * n_factors) exceed the cap of {max_terms}"
-        )
+    check_enumeration(
+        n_particles * n_sets * n_factors,
+        "subset updates of the permanent (n_particles * 2**n_factors * n_factors)",
+    )
     factor, smaller, landing = _subset_indices(n_factors)
     # terms[0] holds f; terms[p + 1, S] the candidate f[S - {p}] + log_values[p, j],
     # and stays -inf where p is not in S.

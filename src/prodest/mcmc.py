@@ -63,7 +63,7 @@ BURN_IN = 0.5
 
 
 class EstimatorFailure(RuntimeError):
-    """A likelihood estimate came back NaN; the chain cannot continue."""
+    """A likelihood estimate came back NaN or +inf; the chain cannot continue."""
 
 
 class InitializationError(RuntimeError):
@@ -229,15 +229,23 @@ def pseudo_marginal_step(
     candidate_log_prior = log_prior_fn(candidate)
     if candidate_log_prior == -math.inf:
         return state, False
-    candidate_log_like = float(log_like_fn(candidate, rng))
-    if math.isnan(candidate_log_like):
-        raise EstimatorFailure(f"likelihood estimate is NaN at theta={candidate!r}")
+    candidate_log_like = _estimate_at(log_like_fn, candidate, rng)
     log_ratio = (candidate_log_like + candidate_log_prior) - (
         state.log_like + state.log_prior
     )
     if rng.random() < acceptance_probability(log_ratio):
         return ChainState(candidate, candidate_log_like, candidate_log_prior), True
     return state, False
+
+
+def _estimate_at(
+    log_like_fn: Callable, theta: np.ndarray, rng: np.random.Generator
+) -> float:
+    """One log likelihood estimate at ``theta``; NaN or +inf raises ``EstimatorFailure``."""
+    value = float(log_like_fn(theta, rng))
+    if not value < math.inf:
+        raise EstimatorFailure(f"likelihood estimate is {value} at theta={theta!r}")
+    return value
 
 
 def _resolve_estimator(config: ChainConfig) -> Callable:
@@ -256,9 +264,7 @@ def _initial_state(
     if log_prior_value == -math.inf:
         raise InitializationError(f"the initial theta {theta!r} has zero prior density")
     for _ in range(_MAX_INIT_TRIES):
-        log_like_value = float(log_like_fn(theta, rng))
-        if math.isnan(log_like_value):
-            raise EstimatorFailure(f"likelihood estimate is NaN at theta={theta!r}")
+        log_like_value = _estimate_at(log_like_fn, theta, rng)
         if log_like_value > -math.inf:
             return ChainState(theta, log_like_value, log_prior_value)
     raise InitializationError(
@@ -361,7 +367,7 @@ def tune_particle_count(
     target: float,
     n_replicates: int,
     rng: np.random.Generator,
-    max_particles: int = 10_000_000,
+    max_particles: int,
 ) -> tuple[int, list]:
     """Double the particle count until the relative variance reaches the target.
 

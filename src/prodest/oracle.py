@@ -31,9 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import (
-    DEFAULT_ENUMERATION_CAP,
     DimensionError,
-    EnumerationLimitError,
+    check_enumeration,
     check_particle_count,
     simple_block_size,
 )
@@ -263,10 +262,7 @@ def second_moment_simple_exact(
 
 
 def second_moment_perm_exact(
-    measure: DiscreteMeasure,
-    potentials: DiscretePotentialSet,
-    n_particles: int,
-    max_terms: int = DEFAULT_ENUMERATION_CAP,
+    measure: DiscreteMeasure, potentials: DiscretePotentialSet, n_particles: int
 ) -> float:
     """Relative second moment of the ordered-selection estimator.
 
@@ -278,11 +274,7 @@ def second_moment_perm_exact(
     n_particles = int(n_particles)
     check_particle_count(n_particles, n_factors)
     n_terms = math.perm(n_particles, n_factors)
-    if n_terms > max_terms:
-        raise EnumerationLimitError(
-            f"enumeration infeasible: {n_terms} injective assignments exceed "
-            f"the cap of {max_terms}"
-        )
+    check_enumeration(n_terms, "injective assignments")
     total = 0.0
     for assignment in itertools.permutations(range(n_particles), n_factors):
         total += _moment_product_fast(
@@ -292,10 +284,7 @@ def second_moment_perm_exact(
 
 
 def second_moment_recycle_exact(
-    measure: DiscreteMeasure,
-    potentials: DiscretePotentialSet,
-    n_particles: int,
-    max_terms: int = DEFAULT_ENUMERATION_CAP,
+    measure: DiscreteMeasure, potentials: DiscretePotentialSet, n_particles: int
 ) -> float:
     """Relative second moment of the recycled estimator.
 
@@ -308,10 +297,7 @@ def second_moment_recycle_exact(
     check_particle_count(n_particles, n_factors)
     ranges = [range(p, n_particles) for p in range(n_factors)]
     n_terms = math.prod(len(r) for r in ranges)
-    if n_terms > max_terms:
-        raise EnumerationLimitError(
-            f"enumeration infeasible: {n_terms} assignments exceed the cap of {max_terms}"
-        )
+    check_enumeration(n_terms, "recycled assignments")
     total = 0.0
     for assignment in itertools.product(*ranges):
         total += _moment_product_fast(
@@ -386,7 +372,6 @@ def estimator_distribution_exact(
     potentials: DiscretePotentialSet,
     n_particles: int,
     kind: str,
-    max_terms: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[float, float]:
     """Exact raw mean and second moment of an estimator on a finite problem.
 
@@ -410,10 +395,7 @@ def estimator_distribution_exact(
         n_terms = n_assignments * math.perm(n_particles, n_factors)
     else:
         n_terms = n_assignments
-    if n_terms > max_terms:
-        raise EnumerationLimitError(
-            f"enumeration infeasible: {n_terms} terms exceed the cap of {max_terms}"
-        )
+    check_enumeration(n_terms, "terms of the estimator's law")
     assignments = np.array(
         list(itertools.product(range(n_points), repeat=n_particles)), dtype=np.intp
     )
@@ -440,10 +422,7 @@ def estimator_distribution_exact(
 
 
 def moment_report(
-    measure: DiscreteMeasure,
-    potentials: DiscretePotentialSet,
-    n_particles: int,
-    max_terms: int = DEFAULT_ENUMERATION_CAP,
+    measure: DiscreteMeasure, potentials: DiscretePotentialSet, n_particles: int
 ) -> MomentReport:
     """Bundle the exact target and relative second moments for one problem size.
 
@@ -462,12 +441,8 @@ def moment_report(
         block_size=block_size,
         mean_product=mean_product(measure, potentials),
         second_moment_simple=simple,
-        second_moment_perm=second_moment_perm_exact(
-            measure, potentials, n_particles, max_terms
-        ),
-        second_moment_recycle=second_moment_recycle_exact(
-            measure, potentials, n_particles, max_terms
-        ),
+        second_moment_perm=second_moment_perm_exact(measure, potentials, n_particles),
+        second_moment_recycle=second_moment_recycle_exact(measure, potentials, n_particles),
         factor_relvars=tuple(
             float(c) for c in factor_relative_variances(measure, potentials)
         ),
@@ -510,10 +485,7 @@ def expected_factor_relvar(lvm: DiscreteLVM) -> float:
 
 
 def latent_expected_second_moment(
-    lvm: DiscreteLVM,
-    n_obs: int,
-    n_particles: int,
-    max_terms: int = DEFAULT_ENUMERATION_CAP,
+    lvm: DiscreteLVM, n_obs: int, n_particles: int
 ) -> tuple[float, float, float]:
     """Observation-averaged recycled second moment, both routes.
 
@@ -529,20 +501,17 @@ def latent_expected_second_moment(
     check_particle_count(n_particles, n_obs, "n_obs")
     n_vectors = lvm.n_observations**n_obs
     lattice = math.prod(range(n_particles - n_obs + 1, n_particles + 1))
-    if n_vectors * lattice > max_terms:
-        raise EnumerationLimitError(
-            f"enumeration infeasible: {n_vectors} observation vectors times "
-            f"{lattice} assignments exceed the cap of {max_terms}"
-        )
+    check_enumeration(
+        n_vectors * lattice,
+        f"terms ({n_vectors} observation vectors times {lattice} assignments)",
+    )
     marginal = observation_marginal(lvm)
     measure = lvm.measure
     enumerated = 0.0
     for obs in itertools.product(range(lvm.n_observations), repeat=n_obs):
         weight = float(np.prod(marginal[list(obs)]))
         potentials = induced_potentials(lvm, obs)
-        enumerated += weight * second_moment_recycle_exact(
-            measure, potentials, n_particles, max_terms
-        )
+        enumerated += weight * second_moment_recycle_exact(measure, potentials, n_particles)
     constant = expected_factor_relvar(lvm)
     denominators = n_particles - np.arange(n_obs)
     closed_form = float(np.prod(1.0 + constant / denominators))

@@ -420,6 +420,27 @@ def test_tune_ceiling_below_start_exits_2(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("tune", "replicates", "-3"),
+        ("tune", "replicates", "1"),
+        ("mcmc", "tune_replicates", "-3"),
+        ("mcmc", "tune_replicates", "1"),
+    ],
+)
+def test_tuning_with_fewer_than_two_replicates_exits_2(tmp_path, capsys, command, key, value):
+    # A relative variance needs two replicates; the key is checked as it is read.
+    base = "model = two-state\nn_obs = 4\nmax_particles = 64\n"
+    if command == "mcmc":
+        base += "chain_length = 5\npilot_length = 0\n"
+    config = write_config(tmp_path, f"{base}{key} = {value}\n")
+    out = tmp_path / "results"
+    assert run([command, "--config", config, "--seed", 3, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be >= 2, got {value}\n"
+    assert not out.exists()
+
+
 def test_unexpected_error_leaves_no_outputs(tmp_path, monkeypatch):
     # A failure after the results are written, of a kind main does not map
     # to an exit code, must still remove them, then propagate.
@@ -550,6 +571,23 @@ def test_mcmc_exact_estimator_without_pilot(tmp_path):
     summary = json.loads((out / "mcmc_summary.json").read_text())
     assert summary["n_particles"] is None
     assert summary["pilot"] is None
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n_particles", "7"), ("target", "5"), ("tune_replicates", "5"),
+                   ("max_particles", "64")],
+)
+@pytest.mark.parametrize("by_flag", [False, True])
+def test_mcmc_exact_chain_takes_no_particle_keys(tmp_path, capsys, key, value, by_flag):
+    # The exact chain draws no particles, so a particle key would be ignored.
+    text = "model = two-state\nn_obs = 4\nchain_length = 5\npilot_length = 0\n"
+    text += f"{key} = {value}\n" + ("" if by_flag else "estimator = exact\n")
+    flags = ["--estimator", "exact"] if by_flag else []
+    config = write_config(tmp_path, text)
+    out = tmp_path / "results"
+    assert run(["mcmc", "--config", config, "--out", out, *flags]) == 2
+    assert capsys.readouterr().err == f"error: estimator 'exact' takes no {key}\n"
+    assert not out.exists()
 
 
 def test_mcmc_fixture_exits_2(tmp_path, capsys, monkeypatch):
@@ -997,6 +1035,10 @@ def _cli_runs(draw):
             values["theta"] = ", ".join(theta)
     if values.get("estimator") == "exact" and values.get("model") != "two-state":
         del values["estimator"]
+    if command == "mcmc" and values.get("estimator") == "exact":
+        # The exact chain takes no particle key.
+        for key in ("n_particles", "target", "tune_replicates", "max_particles"):
+            values.pop(key, None)
     for key in draw(st.lists(st.sampled_from(allowed + ["mystery"]), max_size=2, unique=True)):
         odd = _SIZE_ODD if key in _SIZE_KEYS else _ODD + _ODD_WORDS.get(key, [])
         values[key] = draw(st.sampled_from(odd))

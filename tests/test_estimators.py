@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from prodest import estimators
 from prodest.estimators import (
     DimensionError,
     EnumerationLimitError,
@@ -729,13 +730,15 @@ def test_perm_matches_manual_enumeration():
     )
 
 
-def test_perm_term_cap():
+def test_perm_term_cap(monkeypatch):
     # The cap counts subset updates, n_particles * 2**n_factors * n_factors.
     matrix = PotentialMatrix(np.zeros((3, 6)))
     updates = 6 * 2**3 * 3
-    assert estimate_perm_exact(matrix, max_terms=updates) == 0.0
+    monkeypatch.setattr(estimators, "ENUMERATION_CAP", updates)
+    assert estimate_perm_exact(matrix) == 0.0
+    monkeypatch.setattr(estimators, "ENUMERATION_CAP", updates - 1)
     with pytest.raises(EnumerationLimitError, match=f"{updates} subset updates"):
-        estimate_perm_exact(matrix, max_terms=updates - 1)
+        estimate_perm_exact(matrix)
 
 
 def test_perm_equals_average_of_permuted_simple():

@@ -125,6 +125,22 @@ def test_step_rejects_nan_estimate():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at_step", [False, True])
+def test_run_chain_rejects_nan_or_inf_estimate(bad, at_step):
+    # A bad estimate at the start, or at each step after a good start; +inf
+    # would otherwise pass the Metropolis test.
+    calls = []
+
+    def estimator(theta, rng):
+        calls.append(theta)
+        return -1.0 if at_step and len(calls) == 1 else bad
+
+    with pytest.raises(EstimatorFailure, match=f"likelihood estimate is {bad}"):
+        run_chain(flat_chain_config(5, seed=4, estimator=estimator))
+    assert len(calls) >= 1 + at_step
+
+
 # ------------------------------------------------------------------ proposal
 
 
@@ -317,13 +333,13 @@ def test_tune_particle_count_doubles_from_data_size():
     data = model.simulate(np.array([0.4]), 6, make_stream(17))
     count, probes = tune_particle_count(
         model, data, np.array([0.4]), "recycle", target=math.inf,
-        n_replicates=20, rng=make_stream(18),
+        n_replicates=20, rng=make_stream(18), max_particles=6 * 2**10,
     )
     assert count == 6
     assert len(probes) == 1 and probes[0][0] == 6
     tight, probes = tune_particle_count(
         model, data, np.array([0.4]), "recycle", target=0.05,
-        n_replicates=100, rng=make_stream(19),
+        n_replicates=100, rng=make_stream(19), max_particles=6 * 2**10,
     )
     assert tight % 6 == 0 and tight / 6 == 2 ** (len(probes) - 1)
     assert [count for count, _ in probes] == [6 * 2**i for i in range(len(probes))]

@@ -260,13 +260,23 @@ def test_enumeration_biased_pinned():
 
 
 def test_enumeration_term_caps():
+    # Each enumeration past the fixed cap of 10,000,000 terms raises before
+    # it starts, and names what it counts.
     measure = DiscreteMeasure(tuple(range(4)), np.full(4, 0.25))
-    potentials = DiscretePotentialSet(np.ones((3, 4)))
-    with pytest.raises(EnumerationLimitError):
-        estimator_distribution_exact(measure, potentials, 6, kind="recycle",
-                                     max_terms=100)
-    with pytest.raises(EnumerationLimitError):
-        second_moment_perm_exact(measure, potentials, 8, max_terms=10)
+    three = DiscretePotentialSet(np.ones((3, 4)))
+    eight = DiscretePotentialSet(np.ones((8, 4)))
+    # 4**12 particle values, about 1.7e7, before any selection.
+    with pytest.raises(EnumerationLimitError, match="terms of the estimator's law"):
+        estimator_distribution_exact(measure, three, 12, kind="biased")
+    # Both counts are 12! / 4! = 19,958,400, about 2.0e7.
+    with pytest.raises(EnumerationLimitError, match="19958400 injective assignments"):
+        second_moment_perm_exact(measure, eight, 12)
+    with pytest.raises(EnumerationLimitError, match="19958400 injective assignments"):
+        moment_report(measure, eight, 12)
+    with pytest.raises(EnumerationLimitError, match="19958400 recycled assignments"):
+        second_moment_recycle_exact(measure, eight, 12)
+    with pytest.raises(EnumerationLimitError, match="256 observation vectors times 19958400"):
+        latent_expected_second_moment(D4, 8, 12)
 
 
 # -------------------------------------------------------------- orderings

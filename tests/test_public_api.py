@@ -1,5 +1,8 @@
 """Every public name and every optional parameter has a caller outside the tests.
 
+The package namespace re-exports nothing: its only public names are its
+submodules, so each public name lives in exactly one module.
+
 A name in a module's ``__all__`` must be read somewhere in ``src/`` or
 ``scripts/``: as a plain name or as an attribute, in its own module or
 another.  Its definition, its ``__all__`` entry and its imports do not
@@ -41,16 +44,12 @@ UNREAD_ALLOWED = {
 # Optional parameters that no call in src/ or scripts/ passes, and why.
 UNSET_ALLOWED = {
     "cli.main(argv)": "the entry point; the console script calls it with none",
-    "estimators.estimate_perm_exact(max_terms)": "a safety cap on the dynamic program",
-    "oracle.estimator_distribution_exact(max_terms)": "a safety cap on the enumeration",
-    "oracle.moment_report(max_terms)": "a safety cap on the enumeration",
-    "oracle.latent_expected_second_moment(max_terms)": "a safety cap on the enumeration",
 }
 
 # Config keys that no script or benchmark sets, and why.
 KEYS_UNSET_ALLOWED = {
     "fixture": "the finite test problems of the oracle; the scripts run the paper's models",
-    "max_particles": "a work cap on particle tuning, like max_terms",
+    "max_particles": "a user's work cap on particle tuning, for runs larger than its default",
     "unit_noise": "picks the g-and-k data law under which the ABC target is the likelihood",
 }
 
@@ -123,6 +122,14 @@ def _public_classes():
             obj = getattr(module, name)
             if inspect.isclass(obj) and not issubclass(obj, BaseException):
                 yield f"{module_name}.{name}", obj
+
+
+def test_the_package_namespace_holds_only_its_submodules():
+    submodules = {name for name, _ in _public_modules()}
+    public = {name for name in vars(prodest) if not name.startswith("_")}
+    assert public == submodules, (
+        f"names the package itself exports: {sorted(public - submodules)}"
+    )
 
 
 def test_every_public_name_has_a_caller_outside_tests():
