@@ -488,6 +488,8 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     kind = settings.get_choice("estimator", "recycle", _ESTIMATORS["mcmc"])
     chain_length = settings.get_int("chain_length", 2000, low=1)
     pilot_length = settings.get_int("pilot_length", max(chain_length // 10, 200), low=0)
+    if pilot_length == 0:
+        _reject_keys(settings, {"pilot_stages"}, "pilot_length = 0")
     pilot_stages = settings.get_int("pilot_stages", 1, low=1)
     prior = model.default_prior()
     if pilot_length > 0:
@@ -506,13 +508,14 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
         estimator = lambda th, rng: model.exact_log_likelihood(th, data)
         n_particles, probes = None, []
     else:
-        estimator = kind
         if settings.has("n_particles"):
+            _reject_keys(settings, _TUNING_KEYS, "a fixed n_particles")
             n_particles, probes = settings.get_int("n_particles"), []
         else:
             n_particles, probes, _, _ = _tune_particles(
                 settings, model, data, theta, kind, seed, "tune_replicates"
             )
+        estimator = log_likelihood_estimator(model, data, kind, n_particles)
 
     start = theta
     pilot_summary = None
@@ -525,7 +528,6 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
             pilot = run_chain(ChainConfig(
                 model=model, data=data, prior=prior, proposal=proposal,
                 length=pilot_length, seed=seed, estimator=estimator,
-                n_particles=n_particles,
                 theta_init=start, stream_id=STREAM_PILOT + 100 * stage,
             ))
             proposal = tune_proposal(pilot.samples)
@@ -539,7 +541,6 @@ def cmd_mcmc(settings: Settings, workspace: Workspace, seed: int) -> None:
     output = run_chain(ChainConfig(
         model=model, data=data, prior=prior, proposal=proposal,
         length=chain_length, seed=seed, estimator=estimator,
-        n_particles=n_particles,
         theta_init=start, stream_id=STREAM_MAIN,
     ))
 

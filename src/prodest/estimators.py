@@ -123,6 +123,7 @@ __all__ = [
     "ENUMERATION_CAP",
     "DimensionError",
     "EnumerationLimitError",
+    "EstimatorFailure",
     "PotentialValueError",
     "PotentialMatrix",
     "estimate_simple",
@@ -151,6 +152,10 @@ class DimensionError(ValueError):
 
 class EnumerationLimitError(RuntimeError):
     """An exact computation would exceed ``ENUMERATION_CAP``."""
+
+
+class EstimatorFailure(RuntimeError):
+    """A likelihood estimate came back NaN or +inf, which no caller can use."""
 
 
 class PotentialValueError(ValueError):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import DimensionError
+from .estimators import DimensionError, EstimatorFailure
 from .models import PriorSpec, log_likelihood_estimator
 from .rng import make_stream
 
@@ -32,7 +32,6 @@ __all__ = [
     "ProposalSpec",
     "ChainConfig",
     "ChainOutput",
-    "EstimatorFailure",
     "InitializationError",
     "ParticleCountError",
     "acceptance_probability",
@@ -60,10 +59,6 @@ _PILOT_STEP = 0.05
 # pilot's before its covariance is taken, the main chain's before it is
 # summarized.
 BURN_IN = 0.5
-
-
-class EstimatorFailure(RuntimeError):
-    """A likelihood estimate came back NaN or +inf; the chain cannot continue."""
 
 
 class InitializationError(RuntimeError):
@@ -156,11 +151,12 @@ class ProposalSpec:
 class ChainConfig:
     """Everything needed to run one pseudo-marginal chain.
 
-    ``estimator`` is an estimator kind name (resolved through the model
-    bridge with ``n_particles`` fresh latents per evaluation) or a
-    callable ``(theta, rng) -> float`` returning a log likelihood
-    estimate directly.  The chain starts at ``theta_init``, which must
-    have positive prior density.
+    ``estimator`` is a callable ``(theta, rng) -> float`` returning a log
+    likelihood estimate, such as ``models.log_likelihood_estimator``
+    gives.  The chain starts at ``theta_init``, which must have positive
+    prior density.  ``model`` and ``data`` are not read, since the
+    estimator holds its data; they stay because ``bench/workloads.py``
+    passes them.
     """
 
     model: object
@@ -170,8 +166,7 @@ class ChainConfig:
     length: int
     seed: int
     theta_init: np.ndarray
-    estimator: str | Callable = "recycle"
-    n_particles: int | None = None
+    estimator: Callable
     stream_id: int = 0
 
     def __post_init__(self):
@@ -182,8 +177,6 @@ class ChainConfig:
             raise DimensionError(
                 f"proposal dimension {self.proposal.dim} != prior dimension {self.prior.dim}"
             )
-        if isinstance(self.estimator, str) and self.n_particles is None:
-            raise ValueError("an estimator kind needs n_particles")
 
 
 @dataclass(frozen=True)
@@ -248,14 +241,6 @@ def _estimate_at(
     return value
 
 
-def _resolve_estimator(config: ChainConfig) -> Callable:
-    if callable(config.estimator):
-        return config.estimator
-    return log_likelihood_estimator(
-        config.model, config.data, config.estimator, config.n_particles
-    )
-
-
 def _initial_state(
     config: ChainConfig, log_like_fn: Callable, rng: np.random.Generator
 ) -> ChainState:
@@ -280,7 +265,7 @@ def run_chain(config: ChainConfig) -> ChainOutput:
     burn-in is left to downstream consumers.
     """
     rng = make_stream(config.seed, config.stream_id)
-    log_like_fn = _resolve_estimator(config)
+    log_like_fn = config.estimator
     log_prior_fn = config.prior.log_density
     state = _initial_state(config, log_like_fn, rng)
     length, dim = config.length, config.prior.dim

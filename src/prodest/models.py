@@ -66,6 +66,7 @@ import numpy as np
 
 from .estimators import (
     DimensionError,
+    EstimatorFailure,
     PotentialMatrix,
     check_particle_count,
     estimate_biased,
@@ -623,7 +624,7 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
     estimator.  The simple kind requires n_particles to be a multiple of
     the number of observations.  With no observations the estimate is
     always 0.0: an empty product of expectations is 1.  A kernel result of
-    NaN or +inf raises ``ValueError``.
+    NaN or +inf raises ``EstimatorFailure``.
 
     Replicates run in passes of at most ``_PASS_PARTICLES`` (2**16)
     particles, one replicate per pass when n_particles is at least that,
@@ -699,7 +700,9 @@ def log_likelihood_estimator(model, data, kind: str, n_particles: int) -> Callab
                     log_value = estimate_biased(matrix)
                 # NaN fails this comparison too.
                 if not log_value < math.inf:
-                    raise ValueError(f"log estimate must be in [-inf, inf), got {log_value!r}")
+                    raise EstimatorFailure(
+                        f"log estimate must be in [-inf, inf), got {log_value!r}"
+                    )
                 logs.append(log_value)
         return logs[0] if size is None else np.array(logs)
 

@@ -590,6 +590,56 @@ def test_mcmc_exact_chain_takes_no_particle_keys(tmp_path, capsys, key, value, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [{"target": "5"}, {"tune_replicates": "1"}, {"max_particles": "2"},
+     {"target": "5", "tune_replicates": "1", "max_particles": "2"}],
+    ids=["target", "tune_replicates", "max_particles", "all"],
+)
+def test_mcmc_fixed_particle_count_takes_no_tuning_keys(tmp_path, capsys, keys):
+    # A fixed n_particles skips tuning, so a tuning key would be ignored.
+    config = write_config(
+        tmp_path,
+        "model = two-state\nn_obs = 4\nestimator = recycle\nn_particles = 8\n"
+        "chain_length = 5\npilot_length = 0\n"
+        + "".join(f"{key} = {value}\n" for key, value in keys.items()),
+    )
+    out = tmp_path / "results"
+    assert run(["mcmc", "--config", config, "--out", out]) == 2
+    expected = f"error: a fixed n_particles takes no {', '.join(sorted(keys))}\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_mcmc_without_pilot_takes_no_pilot_stages(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        "model = two-state\nestimator = exact\nchain_length = 20\npilot_length = 0\n"
+        "pilot_stages = 3\n",
+    )
+    out = tmp_path / "results"
+    assert run(["mcmc", "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: pilot_length = 0 takes no pilot_stages\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["estimate", "mcmc"])
+def test_kernel_nan_or_inf_exits_1(tmp_path, capsys, monkeypatch, command, bad):
+    # A failed estimate is a runtime failure, not a configuration error.
+    monkeypatch.setattr("prodest.models.estimate_recycle", lambda matrix, rng: (bad, None))
+    small_run = {"estimate": "replicates = 3\n", "mcmc": "chain_length = 5\npilot_length = 0\n"}
+    config = write_config(
+        tmp_path,
+        "model = two-state\nn_obs = 4\nestimator = recycle\nn_particles = 8\n"
+        + small_run[command],
+    )
+    out = tmp_path / "results"
+    assert run([command, "--config", config, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: log estimate must be in [-inf, inf), got {bad!r}\n"
+    assert not out.exists()
+
+
 def test_mcmc_fixture_exits_2(tmp_path, capsys, monkeypatch):
     # A fixture has no parameter to sample.
     def fail(*args, **kwargs):
@@ -1039,6 +1089,12 @@ def _cli_runs(draw):
         # The exact chain takes no particle key.
         for key in ("n_particles", "target", "tune_replicates", "max_particles"):
             values.pop(key, None)
+    if command == "mcmc" and "n_particles" in values:
+        # A fixed particle count takes no tuning key.
+        for key in ("target", "tune_replicates", "max_particles"):
+            values.pop(key, None)
+    if command == "mcmc" and values.get("pilot_length") == "0":
+        values.pop("pilot_stages", None)
     for key in draw(st.lists(st.sampled_from(allowed + ["mystery"]), max_size=2, unique=True)):
         odd = _SIZE_ODD if key in _SIZE_KEYS else _ODD + _ODD_WORDS.get(key, [])
         values[key] = draw(st.sampled_from(odd))

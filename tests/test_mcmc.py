@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from prodest.estimators import EstimatorFailure
 from prodest.mcmc import (
     _MAX_INIT_TRIES,
     ChainConfig,
     ChainState,
-    EstimatorFailure,
     InitializationError,
     ParticleCountError,
     ProposalSpec,
@@ -285,8 +285,6 @@ def test_chain_config_validation():
     with pytest.raises(ValueError):
         flat_chain_config(0, seed=0, estimator=lambda t, r: 0.0)
     with pytest.raises(ValueError):
-        flat_chain_config(10, seed=0, estimator="recycle")  # needs n_particles
-    with pytest.raises(ValueError):
         flat_chain_config(
             10, seed=0, estimator=lambda t, r: 0.0,
             proposal=ProposalSpec.from_covariance(np.eye(2)),
@@ -418,17 +416,16 @@ def test_estimator_choice_does_not_move_posterior():
     prior = PriorSpec((UniformPrior(0.0, 1.0),))
     proposal = ProposalSpec.from_covariance(np.array([[0.04]]))
 
-    def chain(estimator, seed, n_particles=None):
+    def chain(estimator, seed):
         config = ChainConfig(
             model=model, data=data, prior=prior, proposal=proposal,
-            length=4000, seed=seed, estimator=estimator,
-            n_particles=n_particles, theta_init=np.array([0.5]),
+            length=4000, seed=seed, estimator=estimator, theta_init=np.array([0.5]),
         )
         return run_chain(config)
 
     exact = chain(lambda theta, rng: model.exact_log_likelihood(theta, data), 26)
-    recycle = chain("recycle", 27, n_particles=24)
-    simple = chain("simple", 28, n_particles=24)
+    recycle = chain(log_likelihood_estimator(model, data, "recycle", 24), 27)
+    simple = chain(log_likelihood_estimator(model, data, "simple", 24), 28)
     kept = slice(1000, None)
     reference = exact.samples[kept, 0].mean()
     ref_se = batch_mean_se(exact.samples[kept, 0])

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 from prodest import models
 from prodest.estimators import (
     DimensionError,
+    EstimatorFailure,
     PotentialMatrix,
     estimate_biased,
     estimate_perm_exact,
@@ -666,7 +667,9 @@ def test_estimator_rejects_a_nan_or_inf_kernel_result(bad, size, monkeypatch):
     # The closure is the one consumer of the kernels, so it checks their result.
     monkeypatch.setattr(models, "estimate_biased", lambda matrix: bad)
     estimate = log_likelihood_estimator(TwoStateLatentModel(), np.array([0, 1]), "biased", 4)
-    with pytest.raises(ValueError, match=r"log estimate must be in \[-inf, inf\), got (nan|inf)"):
+    with pytest.raises(
+        EstimatorFailure, match=r"log estimate must be in \[-inf, inf\), got (nan|inf)"
+    ):
         estimate(np.array([0.4]), make_stream(1), size)
 
 
